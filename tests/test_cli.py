@@ -1,5 +1,6 @@
 """Command-line interface: CSV ingestion, exit codes, output formats."""
 
+import hashlib
 import json
 import os
 from importlib import resources
@@ -189,6 +190,51 @@ def test_identical_invocations_are_byte_identical(tmp_path, fixture_csv):
         code = run_cli("detect-correlation", fixture_csv, "--columns", "x,y", "--output", out)
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Golden output bytes on the packaged fixture
+
+GOLDEN_DIGESTS = {
+    ("detect-mean", "x", "json", ()): "011669bd66c3bea72c50f16c60fe623f8785079b15002e2d3c2112ee5bbf5d30",
+    ("detect-mean", "x", "csv", ()): "eea4ede554c5b23a7d28bc3f5f2b74541676b6467e3c40fe973b57c77e9e99a2",
+    ("detect-variance", "x", "json", ()): "5c9ff505b7541b57ae0ec3c3e0d4497d99b7f327a2cac58a57a5df775b4cc26f",
+    ("detect-variance", "x", "csv", ()): "0d7d0dd1170a1bbd6211596d31969ad67a5dc7cdd9c109c2b6f8c20eb55f90df",
+    ("detect-correlation", "x,y", "json", ()): "d499b0c490de61ff8e8a8a65669224892a6bebf6072fa3cd715de1e968db45c2",
+    ("detect-correlation", "x,y", "csv", ()): "17b54efba1885f567dde536f56a0db9f0f7c8a2693fe44dd2c55282e6acccd70",
+    ("detect-correlation", "x,y", "json", ("--prewhiten", "ip4", "--m", "10")): (
+        "ea33ade1a2535b1185b520e9a8a931f397e76e07a7837496236fe1a1a02d25f7"
+    ),
+    ("detect-mean", "x", "json", ("--prewhiten", "ip4", "--m", "10")): (
+        "022630c92c8cda4f9c27511f12729b2ec8e256f0329eb5dd7ec60e8cd214bf0e"
+    ),
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", list(GOLDEN_DIGESTS), ids=lambda c: "-".join([c[0], c[2], *c[3][:2]])
+)
+def test_output_bytes_match_golden_digest(tmp_path, fixture_csv, case):
+    command, columns, fmt, extra = case
+    out = tmp_path / "out"
+    code = run_cli(command, fixture_csv, "--columns", columns, "--format", fmt, *extra, "--output", out)
+    assert code == 0
+    assert sha256_of(out) == GOLDEN_DIGESTS[case]
+
+
+def test_diagnose_bytes_match_golden_digest(tmp_path, fixture_csv):
+    out = tmp_path / "out"
+    traces = tmp_path / "traces"
+    code = run_cli(
+        "diagnose", fixture_csv, "--columns", "x,y", "--output", out, "--traces", traces
+    )
+    assert code == 0
+    assert sha256_of(out) == "7c59a05b79ab2b448efab08043e4c26feb5f998c524d0daecba64a387a4983dd"
+    assert sha256_of(traces) == "cf56462b48bfa16b1c0051e263c2eca7e3419c783c71b9afa82a116539ade141"
 
 
 # ---------------------------------------------------------------------------
