@@ -1,4 +1,4 @@
-"""Shared sequential scanning engine behind the mean and variance detectors.
+"""The sequential regime-shift detector: one state machine, two kinds.
 
 Both detectors run the same state machine over a stream of observations:
 
@@ -12,40 +12,123 @@ Both detectors run the same state machine over a stream of observations:
   candidate folds back into the open regime and the points seen during the
   failed test are rescanned as ordinary observations.
 
-The engine works on transformed values (raw values for the mean detector,
-squared residuals for the variance detector); the critical-bound geometry is
-additive for means and multiplicative for variances.
+Everything that differs between the mean and the variance detector is one
+`Kind` record: the engine works on raw values for means and on squared
+residuals for variances, and the critical-bound geometry is additive for
+means and multiplicative for variances (the STARS geometry, Rodionov 2004).
+The result builder, the checked monitor step and the finalize path are shared;
+`mean_shift` and `variance_shift` keep only their calibration and thin public
+entry points.
 """
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Literal, Sequence
+
+import numpy as np
 
 from .core import (
     ChangePoint,
     DataError,
+    DetectionParams,
     MonitorState,
+    ParameterError,
     PendingCandidate,
+    Regime,
     RegimeWindow,
     StepStatus,
+    TimeSeries,
+    as_series,
+    regimes_to_stepwise,
+    validate_params,
 )
+from .stats import _pooled_t_p, _variance_ratio_p
 
 _STABLE = StepStatus(state="stable")
 
 
-def _transform(state: MonitorState, raw: float) -> float:
-    return raw * raw if state.kind == "variance" else raw
+def _detrend(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
+    return values - regimes_to_stepwise(len(values), regimes)
 
 
-def _bounds(state: MonitorState) -> tuple[float, float]:
-    est = state.current.estimate()
-    if state.kind == "mean":
-        return est - state.threshold, est + state.threshold
-    return est / state.threshold, est * state.threshold
+def _normalize(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
+    for r in regimes:
+        if r.value <= 0.0:
+            raise DataError(
+                f"regime [{r.start}, {r.end}] has zero variance; normalization is undefined"
+            )
+    return values / np.sqrt(regimes_to_stepwise(len(values), regimes))
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What the mean and the variance detector do differently.
+
+    squared: the engine scans x * x instead of x, so each regime's statistic
+        (the mean of the scanned values) is a mean square, not a mean.
+    multiplicative: the critical bounds are estimate / F and estimate * F
+        instead of estimate - delta and estimate + delta.
+    span_test: p-value of the shift between two adjacent regimes, given the
+        scanned values of each.
+    output: the input series adjusted by the regime statistics.
+    series_name, trace_name: what results, files and traces call the output
+        series and the shift-index trace.
+    """
+
+    name: Literal["mean", "variance"]
+    squared: bool
+    multiplicative: bool
+    span_test: Callable[[np.ndarray, np.ndarray], float | None]
+    output: Callable[[np.ndarray, list[Regime]], np.ndarray]
+    series_name: str
+    trace_name: str
+
+
+MEAN = Kind("mean", False, False, _pooled_t_p, _detrend, "residuals", "rsi")
+VARIANCE = Kind("variance", True, True, _variance_ratio_p, _normalize, "normalized", "rssi")
+KINDS = {kind.name: kind for kind in (MEAN, VARIANCE)}
+
+
+@dataclass(eq=False)
+class ShiftResult:
+    """Regimes, change-points, the adjusted series and the shift-index trace.
+
+    For the mean detector `series` is the input minus the stepwise trend
+    (also readable as `residuals`) and `trace` is the RSI (`rsi`); for the
+    variance detector `series` is the input divided by each regime's standard
+    deviation (`normalized`) and `trace` is the RSSI (`rssi`).
+    """
+
+    regimes: list[Regime]
+    change_points: list[ChangePoint]
+    series: TimeSeries
+    trace: np.ndarray
+
+    residuals = property(lambda self: self.series, doc="Alias of `series`.")
+    normalized = property(lambda self: self.series, doc="Alias of `series`.")
+    rsi = property(lambda self: self.trace, doc="Alias of `trace`.")
+    rssi = property(lambda self: self.trace, doc="Alias of `trace`.")
+
+    @property
+    def stepwise(self) -> np.ndarray:
+        """Each regime's statistic repeated over its span."""
+        return regimes_to_stepwise(len(self.series), self.regimes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShiftResult):
+            return NotImplemented
+        return (
+            self.regimes == other.regimes
+            and self.change_points == other.change_points
+            and self.series == other.series
+            and np.array_equal(self.trace, other.trace)
+        )
 
 
 def init_state(
-    kind: str,
-    history: list[float],
+    kind: Kind,
+    history: TimeSeries,
     l: int,
     threshold: float,
     index_scale: float,
@@ -57,42 +140,59 @@ def init_state(
     inside the bootstrap window are still found; index 1 alone can never be a
     change-point.
     """
-    if len(history) < l:
-        raise DataError(f"need at least l={l} points to initialize, got {len(history)}")
+    values = history.values.tolist()
+    bootstrap = [v * v for v in values[:l]] if kind.squared else values[:l]
     state = MonitorState(
-        kind=kind,  # type: ignore[arg-type]
+        kind=kind.name,
         cap=l,
         threshold=threshold,
         index_scale=index_scale,
         next_index=2,
-        raw=[float(history[0])],
-        current=RegimeWindow(start=1, count=0, cap=l),
+        raw=values[:1],
+        current=RegimeWindow.from_members(start=1, cap=l, members=list(enumerate(bootstrap, 1))),
         pending=None,
         change_points=[],
         trace=[0.0],
     )
-    bootstrap = [(k + 1, _transform(state, float(history[k]))) for k in range(l)]
-    state.current = RegimeWindow.from_members(start=1, cap=l, members=bootstrap)
-    for value in history[1:]:
-        advance(state, float(value))
+    for value in values[1:]:
+        advance(state, value)
     return state
 
 
 def advance(state: MonitorState, raw_value: float) -> StepStatus:
     """Feed one observation; returns the detector's resulting status."""
+    kind = KINDS[state.kind]
     raw_value = float(raw_value)
     index = state.next_index
     state.next_index += 1
     state.raw.append(raw_value)
     state.trace.append(0.0)
-    queue: deque[tuple[int, float]] = deque([(index, _transform(state, raw_value))])
+    value = raw_value * raw_value if kind.squared else raw_value
+    queue: deque[tuple[int, float]] = deque([(index, value)])
     status = _STABLE
     while queue:
         i, value = queue.popleft()
-        if state.pending is None:
-            status = _scan(state, i, value)
-            continue
         pend = state.pending
+        if pend is None:
+            est = state.current.estimate()
+            if kind.multiplicative:
+                lo, hi = est / state.threshold, est * state.threshold
+            else:
+                lo, hi = est - state.threshold, est + state.threshold
+            if i > 1 and value > hi:
+                direction, critical = "up", hi
+            elif i > 1 and value < lo:
+                direction, critical = "down", lo
+            else:
+                state.current.push(i, value)
+                status = _STABLE
+                continue
+            if state.index_scale <= 0.0:
+                raise DataError("degenerate series: shift index scale is zero")
+            # The candidate's own point is the first one its test counts, below.
+            pend = state.pending = PendingCandidate(
+                index=i, direction=direction, critical=critical, csum=0.0, tested=0, values=[]
+            )
         pend.csum += value - pend.critical
         pend.tested += 1
         pend.values.append(value)
@@ -102,12 +202,12 @@ def advance(state: MonitorState, raw_value: float) -> StepStatus:
             # everything after it is rescanned as fresh observations.
             state.pending = None
             state.current.push(pend.index, pend.values[0])
-            replay = [(pend.index + k, pend.values[k]) for k in range(len(pend.values) - 1, 0, -1)]
-            for item in replay:
-                queue.appendleft(item)
+            queue.extendleft(
+                (pend.index + k, pend.values[k]) for k in range(len(pend.values) - 1, 0, -1)
+            )
             status = _STABLE
         elif pend.tested == state.cap:
-            status = _confirm(state, pend, provisional=False)
+            status = _confirm(state, pend)
         else:
             status = StepStatus(
                 state="candidate",
@@ -117,39 +217,8 @@ def advance(state: MonitorState, raw_value: float) -> StepStatus:
     return status
 
 
-def _scan(state: MonitorState, i: int, value: float) -> StepStatus:
-    lo, hi = _bounds(state)
-    if i > 1 and value > hi:
-        direction, critical = "up", hi
-    elif i > 1 and value < lo:
-        direction, critical = "down", lo
-    else:
-        state.current.push(i, value)
-        return _STABLE
-    if state.index_scale <= 0.0:
-        raise DataError("degenerate series: shift index scale is zero")
-    state.pending = PendingCandidate(
-        index=i,
-        direction=direction,  # type: ignore[arg-type]
-        critical=critical,
-        csum=value - critical,
-        tested=1,
-        values=[value],
-    )
-    return StepStatus(
-        state="candidate",
-        candidate_index=i,
-        index_value=state.pending.csum / state.index_scale,
-    )
-
-
-def _confirm(state: MonitorState, pend: PendingCandidate, provisional: bool) -> StepStatus:
-    cp = ChangePoint(
-        index=pend.index,
-        index_value=pend.csum / state.index_scale,
-        p_value=None,
-        provisional=provisional,
-    )
+def _confirm(state: MonitorState, pend: PendingCandidate) -> StepStatus:
+    cp = ChangePoint(index=pend.index, index_value=pend.csum / state.index_scale)
     state.change_points.append(cp)
     state.trace[pend.index - 1] = cp.index_value
     window = [(pend.index + k, v) for k, v in enumerate(pend.values)]
@@ -160,8 +229,8 @@ def _confirm(state: MonitorState, pend: PendingCandidate, provisional: bool) -> 
     return StepStatus(state="confirmed", change_point=cp)
 
 
-def finalize(state: MonitorState) -> tuple[list[tuple[int, int]], list[ChangePoint], list[float]]:
-    """Close the scan: resolve a pending tail candidate and cut regime spans.
+def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult:
+    """The detector's result for the series ts that state has scanned.
 
     A candidate still under test when the series ends is emitted as a
     provisional change-point (its index kept its sign through every point
@@ -169,19 +238,80 @@ def finalize(state: MonitorState) -> tuple[list[tuple[int, int]], list[ChangePoi
     confirmed change-points delimit regime spans, so the last span runs to
     the end of the series. The state itself is not modified.
     """
-    n = len(state.raw)
     cps = list(state.change_points)
-    trace = list(state.trace)
+    trace = np.asarray(state.trace)
     if state.pending is not None:
         pend = state.pending
-        cp = ChangePoint(
-            index=pend.index,
-            index_value=pend.csum / state.index_scale,
-            p_value=None,
-            provisional=True,
+        index_value = pend.csum / state.index_scale
+        cps.append(ChangePoint(index=pend.index, index_value=index_value, provisional=True))
+        trace[pend.index - 1] = index_value
+    starts = [1] + [cp.index for cp in state.change_points]
+    spans = list(zip(starts, [s - 1 for s in starts[1:]] + [len(ts)]))
+    scanned = ts.values * ts.values if kind.squared else ts.values
+    p_values = [
+        None
+        if e0 - s0 + 1 < 4 or e1 - s1 + 1 < 4
+        else kind.span_test(scanned[s0 - 1 : e0], scanned[s1 - 1 : e1])
+        for (s0, e0), (s1, e1) in zip(spans, spans[1:])
+    ]
+    regimes = [
+        Regime(
+            start=s,
+            end=e,
+            kind=kind.name,
+            value=float(scanned[s - 1 : e].mean()),
+            shift_p_value=p_values[j - 1] if j > 0 else None,
         )
-        cps.append(cp)
-        trace[pend.index - 1] = cp.index_value
-    starts = [1] + [cp.index for cp in cps if not cp.provisional]
-    ends = [s - 1 for s in starts[1:]] + [n]
-    return list(zip(starts, ends)), cps, trace
+        for j, (s, e) in enumerate(spans)
+    ]
+    # Confirmed change-points delimit spans in order; a provisional tail
+    # candidate has no completed regime on its right, so its p-value stays None.
+    confirmed_p = iter(p_values)
+    change_points = [
+        ChangePoint(
+            index=cp.index,
+            index_value=cp.index_value,
+            p_value=None if cp.provisional else next(confirmed_p),
+            provisional=cp.provisional,
+        )
+        for cp in cps
+    ]
+    series = TimeSeries(kind.output(ts.values, regimes), labels=ts.labels, name=ts.name)
+    return ShiftResult(regimes, change_points, series, trace)
+
+
+def monitor(
+    kind: Kind, state: MonitorState, new_value: float, params: DetectionParams
+) -> tuple[MonitorState, StepStatus]:
+    """Advance a monitor of this kind by one observation."""
+    if state.kind != kind.name:
+        raise ParameterError(f"state belongs to a {state.kind!r} detector")
+    validate_params(params)
+    if params.l != state.cap:
+        raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
+    return state, advance(state, new_value)
+
+
+def finalize(
+    kind: Kind, series: TimeSeries | Sequence[float], state: MonitorState
+) -> ShiftResult:
+    """Build the batch-equivalent result from a stream-fed monitor state.
+
+    series must be exactly the monitored points, history included: the
+    regimes come from the state and the output series from series.
+    """
+    if state.kind != kind.name:
+        raise ParameterError(f"state belongs to a {state.kind!r} detector")
+    ts = as_series(series)
+    if len(ts) != len(state.raw):
+        raise DataError(
+            f"series length {len(ts)} does not match {len(state.raw)} monitored points"
+        )
+    differ = np.flatnonzero(ts.values != np.asarray(state.raw))
+    if differ.size:
+        i = int(differ[0])
+        raise DataError(
+            f"series value {float(ts.values[i])!r} at position {i + 1} differs "
+            f"from the monitored value {state.raw[i]!r}"
+        )
+    return build_result(kind, ts, state)

@@ -27,14 +27,18 @@ files. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Any, Sequence
+from dataclasses import fields, is_dataclass
+from types import UnionType
+from typing import Any, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
+from ._engine import KINDS, ShiftResult
 from .core import (
     ChangePoint,
     DataError,
@@ -44,12 +48,12 @@ from .core import (
     TimeSeries,
     validate_params,
 )
-from .mean_shift import MeanShiftResult, detect_mean
-from .pipeline import CandidateRecord, CorrelationResult, SrsdResult, run_srsd
+from .mean_shift import detect_mean
+from .pipeline import CandidateRecord, SrsdResult, run_srsd
 from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
 from .stats import pearson_r
 from .synthgen import RegimeSpec, canonical_spec, generate_pair
-from .variance_shift import VarianceShiftResult, detect_variance
+from .variance_shift import detect_variance
 
 __all__ = ["main", "parse_csv", "result_to_json", "result_from_json"]
 
@@ -124,137 +128,69 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
 # ---------------------------------------------------------------------------
 # JSON serialization (shortest round-trip floats, fixed key order)
 
-
-def _ts_to_obj(ts: TimeSeries) -> dict[str, Any]:
-    return {
-        "name": ts.name,
-        "values": [float(v) for v in ts.values],
-        "labels": None if ts.labels is None else [float(v) for v in ts.labels],
-    }
+# Field types of each result dataclass, resolved once per class.
+_field_types = functools.cache(get_type_hints)
 
 
-def _ts_from_obj(obj: dict[str, Any]) -> TimeSeries:
-    return TimeSeries(obj["values"], labels=obj["labels"], name=obj["name"])
+def _shift_keys(regime_kind: str) -> dict[str, str]:
+    """JSON keys of a ShiftResult's series and trace: named after its detector."""
+    kind = KINDS[regime_kind]
+    return {"series": kind.series_name, "trace": kind.trace_name}
 
 
-def _regime_to_obj(regime: Regime) -> dict[str, Any]:
-    return {
-        "start": regime.start,
-        "end": regime.end,
-        "kind": regime.kind,
-        "value": regime.value,
-        "shift_p_value": regime.shift_p_value,
-        "ci_low": regime.ci_low,
-        "ci_high": regime.ci_high,
-    }
+def _to_obj(value: Any) -> Any:
+    """JSON form of a result value; a dataclass becomes an object in field order."""
+    if isinstance(value, TimeSeries):
+        labels = None if value.labels is None else value.labels.tolist()
+        return {"name": value.name, "values": value.values.tolist(), "labels": labels}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_to_obj(v) for v in value]
+    if is_dataclass(value):
+        keys = _shift_keys(value.regimes[0].kind) if isinstance(value, ShiftResult) else {}
+        return {keys.get(f.name, f.name): _to_obj(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
-def _cp_to_obj(cp: ChangePoint) -> dict[str, Any]:
-    return {
-        "index": cp.index,
-        "index_value": cp.index_value,
-        "p_value": cp.p_value,
-        "provisional": cp.provisional,
-    }
-
-
-def _params_to_obj(params: DetectionParams) -> dict[str, Any]:
-    return {"p": params.p, "l": params.l, "prewhiten": params.prewhiten, "m": params.m}
-
-
-def _params_from_obj(obj: dict[str, Any]) -> DetectionParams:
-    return DetectionParams(p=obj["p"], l=obj["l"], prewhiten=obj["prewhiten"], m=obj["m"])
-
-
-def _ar1_to_obj(est: Ar1Estimate | None) -> dict[str, Any] | None:
-    if est is None:
-        return None
-    return {
-        "alpha": est.alpha,
-        "method": est.method,
-        "m": est.m,
-        "n_subsamples": est.n_subsamples,
-        "alpha_ols": est.alpha_ols,
-        "clamped": est.clamped,
-    }
-
-
-def _ar1_from_obj(obj: dict[str, Any] | None) -> Ar1Estimate | None:
-    return None if obj is None else Ar1Estimate(**obj)
-
-
-def _mean_to_obj(res: MeanShiftResult) -> dict[str, Any]:
-    return {
-        "regimes": [_regime_to_obj(r) for r in res.regimes],
-        "change_points": [_cp_to_obj(c) for c in res.change_points],
-        "residuals": _ts_to_obj(res.residuals),
-        "rsi": [float(v) for v in res.rsi],
-    }
-
-
-def _mean_from_obj(obj: dict[str, Any]) -> MeanShiftResult:
-    return MeanShiftResult(
-        regimes=[Regime(**r) for r in obj["regimes"]],
-        change_points=[ChangePoint(**c) for c in obj["change_points"]],
-        residuals=_ts_from_obj(obj["residuals"]),
-        rsi=np.asarray(obj["rsi"], dtype=float),
-    )
-
-
-def _variance_to_obj(res: VarianceShiftResult | None) -> dict[str, Any] | None:
-    if res is None:
-        return None
-    return {
-        "regimes": [_regime_to_obj(r) for r in res.regimes],
-        "change_points": [_cp_to_obj(c) for c in res.change_points],
-        "normalized": _ts_to_obj(res.normalized),
-        "rssi": [float(v) for v in res.rssi],
-    }
-
-
-def _variance_from_obj(obj: dict[str, Any] | None) -> VarianceShiftResult | None:
+def _from_obj(tp: Any, obj: Any) -> Any:
+    """Rebuild a value of type tp from its _to_obj form."""
     if obj is None:
         return None
-    return VarianceShiftResult(
-        regimes=[Regime(**r) for r in obj["regimes"]],
-        change_points=[ChangePoint(**c) for c in obj["change_points"]],
-        normalized=_ts_from_obj(obj["normalized"]),
-        rssi=np.asarray(obj["rssi"], dtype=float),
-    )
+    origin = get_origin(tp)
+    if origin in (Union, UnionType):  # "X | None" holding an X
+        return _from_obj(get_args(tp)[0], obj)
+    if origin in (list, tuple, frozenset):  # every result container holds one type
+        return origin(_from_obj(get_args(tp)[0], v) for v in obj)
+    if tp is TimeSeries:
+        return TimeSeries(obj["values"], labels=obj["labels"], name=obj["name"])
+    if tp is np.ndarray:
+        return np.asarray(obj, dtype=float)
+    if is_dataclass(tp):
+        keys = _shift_keys(obj["regimes"][0]["kind"]) if tp is ShiftResult else {}
+        types = _field_types(tp)
+        return tp(
+            **{f.name: _from_obj(types[f.name], obj[keys.get(f.name, f.name)]) for f in fields(tp)}
+        )
+    return obj
+
+
+def _dumps(command: str, body: dict[str, Any]) -> str:
+    """A result file: the header, then body in its order."""
+    doc = {"schema_version": SCHEMA_VERSION, "tool": "srsd", "version": __version__}
+    doc.update(command=command, **body)
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# Key order of a pipeline result file after the header.
+_SRSD_KEYS = "params corr_params skipped ar1 x y mean_results variance_results correlation".split()
 
 
 def result_to_json(result: SrsdResult, command: str = "detect-correlation") -> str:
     """Serialize a full pipeline result, intermediates and audit included."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "srsd",
-        "version": __version__,
-        "command": command,
-        "params": _params_to_obj(result.params),
-        "corr_params": _params_to_obj(result.corr_params),
-        "skipped": sorted(result.skipped),
-        "ar1": [_ar1_to_obj(est) for est in result.ar1],
-        "x": _ts_to_obj(result.x),
-        "y": _ts_to_obj(result.y),
-        "mean_results": [_mean_to_obj(r) for r in result.mean_results],
-        "variance_results": [_variance_to_obj(r) for r in result.variance_results],
-        "correlation": {
-            "regimes": [_regime_to_obj(r) for r in result.correlation.regimes],
-            "change_points": [_cp_to_obj(c) for c in result.correlation.change_points],
-            "candidates": [
-                {
-                    "source": c.source,
-                    "index": c.index,
-                    "p_value": c.p_value,
-                    "accepted": c.accepted,
-                }
-                for c in result.correlation.candidates
-            ],
-            "sum_channel": _variance_to_obj(result.correlation.sum_channel),
-            "diff_channel": _variance_to_obj(result.correlation.diff_channel),
-        },
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _dumps(command, {key: _to_obj(getattr(result, key)) for key in _SRSD_KEYS})
 
 
 def result_from_json(text: str) -> SrsdResult:
@@ -265,24 +201,7 @@ def result_from_json(text: str) -> SrsdResult:
             f"unsupported schema_version {doc.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION!r}"
         )
-    corr = doc["correlation"]
-    return SrsdResult(
-        x=_ts_from_obj(doc["x"]),
-        y=_ts_from_obj(doc["y"]),
-        params=_params_from_obj(doc["params"]),
-        corr_params=_params_from_obj(doc["corr_params"]),
-        skipped=frozenset(doc["skipped"]),
-        ar1=tuple(_ar1_from_obj(est) for est in doc["ar1"]),
-        mean_results=tuple(_mean_from_obj(r) for r in doc["mean_results"]),
-        variance_results=tuple(_variance_from_obj(r) for r in doc["variance_results"]),
-        correlation=CorrelationResult(
-            regimes=[Regime(**r) for r in corr["regimes"]],
-            change_points=[ChangePoint(**c) for c in corr["change_points"]],
-            candidates=[CandidateRecord(**c) for c in corr["candidates"]],
-            sum_channel=_variance_from_obj(corr["sum_channel"]),
-            diff_channel=_variance_from_obj(corr["diff_channel"]),
-        ),
-    )
+    return _from_obj(SrsdResult, doc)
 
 
 def _single_to_json(
@@ -290,19 +209,10 @@ def _single_to_json(
     params: DetectionParams,
     series: TimeSeries,
     ar1: Ar1Estimate | None,
-    payload: dict[str, Any],
+    result: ShiftResult,
 ) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "srsd",
-        "version": __version__,
-        "command": command,
-        "params": _params_to_obj(params),
-        "series": _ts_to_obj(series),
-        "ar1": _ar1_to_obj(ar1),
-    }
-    doc.update(payload)
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    head = {"params": _to_obj(params), "series": _to_obj(series), "ar1": _to_obj(ar1)}
+    return _dumps(command, {**head, **_to_obj(result)})
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +232,17 @@ def _fmt(value: Any) -> str:
 _TABLE_HEADER = (
     "record,series,kind,start,end,index,value,p_value,ci_low,ci_high,provisional,accepted"
 )
+_TABLE_COLUMNS = _TABLE_HEADER.split(",")
+# Table column of each record field named differently from its column.
+_COLUMN_OF = {"shift_p_value": "p_value", "index_value": "value", "source": "series"}
+_RECORD_OF = {Regime: "regime", ChangePoint: "change_point", CandidateRecord: "candidate"}
+
+
+def _row(record: Regime | ChangePoint | CandidateRecord, **cells: Any) -> str:
+    """One table row: the record's fields in their columns, over the given cells."""
+    cells["record"] = _RECORD_OF[type(record)]
+    cells.update((_COLUMN_OF.get(f.name, f.name), getattr(record, f.name)) for f in fields(record))
+    return ",".join(_fmt(cells.get(column)) for column in _TABLE_COLUMNS)
 
 
 def _table_rows(
@@ -330,85 +251,21 @@ def _table_rows(
     change_points: Sequence[ChangePoint],
     candidates: Sequence[CandidateRecord] = (),
 ) -> list[str]:
-    rows = []
-    for r in regimes:
-        rows.append(
-            ",".join(
-                [
-                    "regime",
-                    series_name,
-                    r.kind,
-                    str(r.start),
-                    str(r.end),
-                    "",
-                    _fmt(r.value),
-                    _fmt(r.shift_p_value),
-                    _fmt(r.ci_low),
-                    _fmt(r.ci_high),
-                    "",
-                    "",
-                ]
-            )
-        )
-    for c in change_points:
-        kind = regimes[0].kind if regimes else ""
-        rows.append(
-            ",".join(
-                [
-                    "change_point",
-                    series_name,
-                    kind,
-                    "",
-                    "",
-                    str(c.index),
-                    _fmt(c.index_value),
-                    _fmt(c.p_value),
-                    "",
-                    "",
-                    _fmt(c.provisional),
-                    "",
-                ]
-            )
-        )
-    for cand in candidates:
-        rows.append(
-            ",".join(
-                [
-                    "candidate",
-                    cand.source,
-                    "correlation",
-                    "",
-                    "",
-                    str(cand.index),
-                    "",
-                    _fmt(cand.p_value),
-                    "",
-                    "",
-                    "",
-                    _fmt(cand.accepted),
-                ]
-            )
-        )
-    return rows
-
-
-def _single_to_csv(res: MeanShiftResult | VarianceShiftResult, name: str) -> str:
-    rows = [_TABLE_HEADER, *_table_rows(name, res.regimes, res.change_points)]
-    return "\n".join(rows) + "\n"
+    kind = regimes[0].kind if regimes else ""
+    return (
+        [_row(r, series=series_name) for r in regimes]
+        + [_row(c, series=series_name, kind=kind) for c in change_points]
+        + [_row(c, kind="correlation") for c in candidates]
+    )
 
 
 def _srsd_to_csv(result: SrsdResult) -> str:
     rows = [_TABLE_HEADER]
-    for series, mean_res in zip((result.x, result.y), result.mean_results):
-        rows += _table_rows(series.name or "series", mean_res.regimes, mean_res.change_points)
-    for series, var_res in zip((result.x, result.y), result.variance_results):
-        rows += _table_rows(series.name or "series", var_res.regimes, var_res.change_points)
-    rows += _table_rows(
-        "correlation",
-        result.correlation.regimes,
-        result.correlation.change_points,
-        result.correlation.candidates,
-    )
+    for results in (result.mean_results, result.variance_results):
+        for series, res in zip((result.x, result.y), results):
+            rows += _table_rows(series.name or "series", res.regimes, res.change_points)
+    corr = result.correlation
+    rows += _table_rows("correlation", corr.regimes, corr.change_points, corr.candidates)
     return "\n".join(rows) + "\n"
 
 
@@ -460,38 +317,26 @@ def _cmd_detect_single(args: argparse.Namespace) -> int:
     if params.prewhiten != "none":
         ar1 = estimate_ar1(series, params.m, params.prewhiten)
         series = prewhiten(series, ar1.alpha)
-    if args.command == "detect-mean":
-        res: MeanShiftResult | VarianceShiftResult = detect_mean(series, params)
-        payload: dict[str, Any] = {
-            "regimes": [_regime_to_obj(r) for r in res.regimes],
-            "change_points": [_cp_to_obj(c) for c in res.change_points],
-            "residuals": _ts_to_obj(res.residuals),
-            "rsi": [float(v) for v in res.rsi],
-        }
-    else:
-        res = detect_variance(series, params)
-        payload = {
-            "regimes": [_regime_to_obj(r) for r in res.regimes],
-            "change_points": [_cp_to_obj(c) for c in res.change_points],
-            "normalized": _ts_to_obj(res.normalized),
-            "rssi": [float(v) for v in res.rssi],
-        }
+    detect = detect_mean if args.command == "detect-mean" else detect_variance
+    res = detect(series, params)
     if args.format == "json":
-        text = _single_to_json(args.command, params, series, ar1, payload)
+        text = _single_to_json(args.command, params, series, ar1, res)
     else:
-        text = _single_to_csv(res, series.name or "series")
+        rows = _table_rows(series.name or "series", res.regimes, res.change_points)
+        text = "\n".join([_TABLE_HEADER, *rows]) + "\n"
     _write_output(args.output, text)
     return 0
 
 
-def _cmd_detect_correlation(args: argparse.Namespace) -> int:
+def _run_pair(args: argparse.Namespace) -> SrsdResult:
     params = _params_from_args(args)
     x, y = parse_csv(args.input, _columns(args, 2))
-    result = run_srsd(x, y, params, corr_params=_corr_params_from_args(args, params))
-    if args.format == "json":
-        text = result_to_json(result)
-    else:
-        text = _srsd_to_csv(result)
+    return run_srsd(x, y, params, corr_params=_corr_params_from_args(args, params))
+
+
+def _cmd_detect_correlation(args: argparse.Namespace) -> int:
+    result = _run_pair(args)
+    text = result_to_json(result) if args.format == "json" else _srsd_to_csv(result)
     _write_output(args.output, text)
     return 0
 
@@ -545,17 +390,12 @@ def _running_correlation(x: np.ndarray, y: np.ndarray, window: int) -> list[floa
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
-    x, y = parse_csv(args.input, _columns(args, 2))
-    result = run_srsd(x, y, params, corr_params=_corr_params_from_args(args, params))
+    result = _run_pair(args)
     n = len(result.x)
     if not 2 <= args.window <= n:
         raise ParameterError(f"--window must lie in [2, {n}], got {args.window}")
-    raw_x = np.asarray(result.x.values, dtype=float)
-    raw_y = np.asarray(result.y.values, dtype=float)
-    adj_x = np.asarray(result.variance_results[0].normalized.values, dtype=float)
-    adj_y = np.asarray(result.variance_results[1].normalized.values, dtype=float)
-    raw = _running_correlation(raw_x, raw_y, args.window)
+    raw = _running_correlation(result.x.values, result.y.values, args.window)
+    adj_x, adj_y = (res.normalized.values for res in result.variance_results)
     adjusted = _running_correlation(adj_x, adj_y, args.window)
     rows = ["start,end,raw,adjusted"]
     for i, (rv, av) in enumerate(zip(raw, adjusted)):
@@ -566,23 +406,20 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     if args.traces:
         trace_rows = ["series,detector,index,value"]
-        named: list[tuple[str, str, np.ndarray]] = [
-            (result.x.name or "x", "rsi", result.mean_results[0].rsi),
-            (result.y.name or "y", "rsi", result.mean_results[1].rsi),
-            (result.x.name or "x", "rssi", result.variance_results[0].rssi),
-            (result.y.name or "y", "rssi", result.variance_results[1].rssi),
+        names = (result.x.name or "x", result.y.name or "y")
+        named = [
+            *zip(names, result.mean_results),
+            *zip(names, result.variance_results),
+            ("sum", result.correlation.sum_channel),
+            ("diff", result.correlation.diff_channel),
         ]
-        if result.correlation.sum_channel is not None:
-            named.append(("sum", "rssi", result.correlation.sum_channel.rssi))
-        if result.correlation.diff_channel is not None:
-            named.append(("diff", "rssi", result.correlation.diff_channel.rssi))
-        for name, detector, trace in named:
-            for i, value in enumerate(trace, start=1):
-                trace_rows.append(
-                    "%s,%s,%d,%s" % (name, detector, i, _fmt(float(value)))
-                )
-        with open(args.traces, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(trace_rows) + "\n")
+        for name, res in named:
+            if res is None:
+                continue
+            detector = KINDS[res.regimes[0].kind].trace_name
+            for i, value in enumerate(res.trace.tolist(), start=1):
+                trace_rows.append("%s,%s,%d,%s" % (name, detector, i, _fmt(value)))
+        _write_output(args.traces, "\n".join(trace_rows) + "\n")
     return 0
 
 
@@ -635,21 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"srsd {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("detect-mean", "detect mean shifts in one column"),
-        ("detect-variance", "detect variance shifts in one column"),
+    for name, n_columns, helptext in (
+        ("detect-mean", 1, "detect mean shifts in one column"),
+        ("detect-variance", 1, "detect variance shifts in one column"),
+        ("detect-correlation", 2, "run the full three-step pipeline on two columns"),
     ):
         sub = commands.add_parser(name, help=helptext)
-        _add_io(sub, 1)
-        _add_params(sub)
+        _add_io(sub, n_columns)
+        _add_params(sub, corr=n_columns == 2)
         sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sub = commands.add_parser(
-        "detect-correlation", help="run the full three-step pipeline on two columns"
-    )
-    _add_io(sub, 2)
-    _add_params(sub, corr=True)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = commands.add_parser("generate", help="write a synthetic bivariate CSV")
     sub.add_argument("--seed", type=int, default=0, help="generator seed (SRSD_SEED overrides)")

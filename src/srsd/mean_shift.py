@@ -5,30 +5,28 @@ threshold above and below the open regime's running mean. The threshold is
 the minimum difference between two regime means that a two-sample Student
 t-test at level p would call significant, assuming both regimes have the
 pooled variance of running l-point windows.
+
+The scan itself is the shared engine in `_engine` with the `MEAN` kind; this
+module holds the threshold calibration and the public entry points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _engine
+from ._engine import MEAN, ShiftResult
 from .core import (
-    ChangePoint,
     DataError,
     DetectionParams,
     MonitorState,
     ParameterError,
-    Regime,
     StepStatus,
     TimeSeries,
     as_series,
-    regimes_to_stepwise,
     validate_params,
 )
-from .stats import _pooled_t_p, running_avg_variance, student_t_quantile
+from .stats import running_avg_variance, student_t_quantile
 
 __all__ = [
     "MeanShiftResult",
@@ -37,6 +35,8 @@ __all__ = [
     "init_mean_monitor",
     "monitor_mean",
 ]
+
+MeanShiftResult = ShiftResult
 
 
 def threshold_delta(params: DetectionParams, avg_var: float) -> float:
@@ -53,75 +53,6 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     return t * math.sqrt(2.0 * avg_var / params.l)
 
 
-@dataclass(eq=False)
-class MeanShiftResult:
-    """Mean regimes, their change-points, residuals, and the shift-index trace."""
-
-    regimes: list[Regime]
-    change_points: list[ChangePoint]
-    residuals: TimeSeries
-    rsi: np.ndarray
-
-    @property
-    def stepwise(self) -> np.ndarray:
-        """The stepwise trend: each regime's mean repeated over its span."""
-        return regimes_to_stepwise(len(self.residuals), self.regimes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MeanShiftResult):
-            return NotImplemented
-        return (
-            self.regimes == other.regimes
-            and self.change_points == other.change_points
-            and self.residuals == other.residuals
-            and np.array_equal(self.rsi, other.rsi)
-        )
-
-
-def _build_result(ts: TimeSeries, state: MonitorState) -> MeanShiftResult:
-    spans, cps, trace = _engine.finalize(state)
-    values = np.asarray(state.raw)
-    span_means = [float(values[s - 1 : e].mean()) for s, e in spans]
-    p_values: list[float | None] = []
-    for j in range(len(spans) - 1):
-        s0, e0 = spans[j]
-        s1, e1 = spans[j + 1]
-        if e0 - s0 + 1 < 4 or e1 - s1 + 1 < 4:
-            p_values.append(None)
-        else:
-            p_values.append(_pooled_t_p(values[s0 - 1 : e0], values[s1 - 1 : e1]))
-    regimes = [
-        Regime(
-            start=s,
-            end=e,
-            kind="mean",
-            value=span_means[j],
-            shift_p_value=p_values[j - 1] if j > 0 else None,
-        )
-        for j, (s, e) in enumerate(spans)
-    ]
-    # Confirmed change-points delimit spans in order; a provisional tail
-    # candidate has no completed regime on its right, so its p-value stays None.
-    confirmed_p = iter(p_values)
-    change_points = [
-        ChangePoint(
-            index=cp.index,
-            index_value=cp.index_value,
-            p_value=None if cp.provisional else next(confirmed_p),
-            provisional=cp.provisional,
-        )
-        for cp in cps
-    ]
-    stepwise = regimes_to_stepwise(len(ts), regimes)
-    residuals = TimeSeries(ts.values - stepwise, labels=ts.labels, name=ts.name)
-    return MeanShiftResult(
-        regimes=regimes,
-        change_points=change_points,
-        residuals=residuals,
-        rsi=np.asarray(trace),
-    )
-
-
 def detect_mean(
     series: TimeSeries | Sequence[float], params: DetectionParams = DetectionParams()
 ) -> MeanShiftResult:
@@ -131,12 +62,8 @@ def detect_mean(
     the series ended mid-test), the residual series with the stepwise trend
     removed, and the per-index shift-index trace (nonzero at change-points).
     """
-    validate_params(params)
     ts = as_series(series)
-    if len(ts) < params.l:
-        raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")
-    state = init_mean_monitor(ts, params)
-    return _build_result(ts, state)
+    return _engine.build_result(MEAN, ts, init_mean_monitor(ts, params))
 
 
 def init_mean_monitor(
@@ -152,32 +79,24 @@ def init_mean_monitor(
     validate_params(params)
     ts = as_series(history)
     if len(ts) < params.l:
-        raise DataError(f"need at least l={params.l} history points, got {len(ts)}")
+        raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")
     if avg_var is None:
         avg_var = running_avg_variance(ts, params.l)
     delta = threshold_delta(params, avg_var)
     scale = params.l * math.sqrt(avg_var)
-    return _engine.init_state("mean", list(ts.values), params.l, delta, scale)
+    return _engine.init_state(MEAN, ts, params.l, delta, scale)
 
 
 def monitor_mean(
     state: MonitorState, new_value: float, params: DetectionParams
 ) -> tuple[MonitorState, StepStatus]:
     """Advance a mean monitor by one observation."""
-    if state.kind != "mean":
-        raise ParameterError(f"state belongs to a {state.kind!r} detector")
-    validate_params(params)
-    if params.l != state.cap:
-        raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
-    status = _engine.advance(state, new_value)
-    return state, status
+    return _engine.monitor(MEAN, state, new_value, params)
 
 
 def finalize_mean(series: TimeSeries | Sequence[float], state: MonitorState) -> MeanShiftResult:
-    """Build the batch-equivalent result from a stream-fed monitor state."""
-    ts = as_series(series)
-    if len(ts) != len(state.raw):
-        raise DataError(
-            f"series length {len(ts)} does not match {len(state.raw)} monitored points"
-        )
-    return _build_result(ts, state)
+    """Build the batch-equivalent result from a stream-fed monitor state.
+
+    series must hold exactly the monitored points; any other raises DataError.
+    """
+    return _engine.finalize(MEAN, series, state)

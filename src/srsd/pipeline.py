@@ -22,20 +22,22 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
+from ._engine import ShiftResult
 from .core import (
     ChangePoint,
     DataError,
     DetectionParams,
     ParameterError,
     Regime,
+    RegimeKind,
     TimeSeries,
     as_series,
     validate_params,
 )
-from .mean_shift import MeanShiftResult, detect_mean
+from .mean_shift import detect_mean
 from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
 from .stats import fisher_ci, fisher_compare, pearson_r
-from .variance_shift import VarianceShiftResult, detect_variance
+from .variance_shift import detect_variance
 
 __all__ = [
     "CandidateRecord",
@@ -73,26 +75,15 @@ class CandidateRecord:
     accepted: bool
 
 
-@dataclass(eq=False)
+@dataclass
 class CorrelationResult:
     """Correlation regimes with the full channel-merge audit trail."""
 
     regimes: list[Regime]
     change_points: list[ChangePoint]
     candidates: list[CandidateRecord]
-    sum_channel: VarianceShiftResult | None
-    diff_channel: VarianceShiftResult | None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CorrelationResult):
-            return NotImplemented
-        return (
-            self.regimes == other.regimes
-            and self.change_points == other.change_points
-            and self.candidates == other.candidates
-            and self.sum_channel == other.sum_channel
-            and self.diff_channel == other.diff_channel
-        )
+    sum_channel: ShiftResult | None
+    diff_channel: ShiftResult | None
 
 
 def _segment_r(x: np.ndarray, y: np.ndarray, start: int, end: int) -> float | None:
@@ -225,14 +216,7 @@ def _correlation_regimes(
             ci_low, ci_high = fisher_ci(r, length, ci_confidence)
         shift_p = None
         if j > 0:
-            prev_len = ends[j - 1] - starts[j - 1] + 1
-            if (
-                prev_len >= 4
-                and length >= 4
-                and abs(r_values[j - 1]) < 1.0
-                and abs(r) < 1.0
-            ):
-                shift_p = fisher_compare(r_values[j - 1], prev_len, r, length).p_value
+            shift_p = _split_p_value(x, y, s, starts[j - 1], e)
             confirmed_cps.append(
                 ChangePoint(
                     index=s,
@@ -314,7 +298,7 @@ def detect_correlation(
     )
 
 
-@dataclass(eq=False)
+@dataclass
 class SrsdResult:
     """Everything the three-step pipeline produced, intermediates included.
 
@@ -329,8 +313,8 @@ class SrsdResult:
     corr_params: DetectionParams
     skipped: frozenset[str]
     ar1: tuple[Ar1Estimate | None, Ar1Estimate | None]
-    mean_results: tuple[MeanShiftResult, MeanShiftResult]
-    variance_results: tuple[VarianceShiftResult, VarianceShiftResult]
+    mean_results: tuple[ShiftResult, ShiftResult]
+    variance_results: tuple[ShiftResult, ShiftResult]
     correlation: CorrelationResult
 
     @property
@@ -345,42 +329,16 @@ class SrsdResult:
     def candidates(self) -> list[CandidateRecord]:
         return self.correlation.candidates
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SrsdResult):
-            return NotImplemented
-        return (
-            self.x == other.x
-            and self.y == other.y
-            and self.params == other.params
-            and self.corr_params == other.corr_params
-            and self.skipped == other.skipped
-            and self.ar1 == other.ar1
-            and self.mean_results == other.mean_results
-            and self.variance_results == other.variance_results
-            and self.correlation == other.correlation
-        )
 
-
-def _identity_mean(ts: TimeSeries) -> MeanShiftResult:
-    # Placeholder for a skipped step: nothing removed, one zero-mean regime.
-    regime = Regime(start=1, end=len(ts), kind="mean", value=0.0)
-    return MeanShiftResult(
-        regimes=[regime],
-        change_points=[],
-        residuals=ts,
-        rsi=np.zeros(len(ts)),
-    )
-
-
-def _identity_variance(ts: TimeSeries) -> VarianceShiftResult:
-    # Placeholder for a skipped step: nothing rescaled, one unit-variance regime.
-    regime = Regime(start=1, end=len(ts), kind="variance", value=1.0)
-    return VarianceShiftResult(
-        regimes=[regime],
-        change_points=[],
-        normalized=ts,
-        rssi=np.zeros(len(ts)),
-    )
+def _adjust(
+    ts: TimeSeries, kind: RegimeKind, params: DetectionParams, skip: frozenset[str]
+) -> ShiftResult:
+    """The mean or variance step on ts, or its identity placeholder when skipped."""
+    if kind not in skip:
+        return (detect_mean if kind == "mean" else detect_variance)(ts, params)
+    # One regime whose value (zero mean, unit variance) leaves ts unchanged.
+    regime = Regime(start=1, end=len(ts), kind=kind, value=0.0 if kind == "mean" else 1.0)
+    return ShiftResult([regime], [], ts, np.zeros(len(ts)))
 
 
 def _run_pipeline(
@@ -404,16 +362,8 @@ def _run_pipeline(
         xs = prewhiten(xs, est_x.alpha)
         ys = prewhiten(ys, est_y.alpha)
         ar1 = (est_x, est_y)
-    if "mean" in skip:
-        mean_x, mean_y = _identity_mean(xs), _identity_mean(ys)
-    else:
-        mean_x, mean_y = detect_mean(xs, params), detect_mean(ys, params)
-    if "variance" in skip:
-        var_x = _identity_variance(mean_x.residuals)
-        var_y = _identity_variance(mean_y.residuals)
-    else:
-        var_x = detect_variance(mean_x.residuals, params)
-        var_y = detect_variance(mean_y.residuals, params)
+    mean_x, mean_y = (_adjust(s, "mean", params, skip) for s in (xs, ys))
+    var_x, var_y = (_adjust(m.residuals, "variance", params, skip) for m in (mean_x, mean_y))
     correlation = detect_correlation(
         var_x.normalized, var_y.normalized, corr_params, ci_confidence
     )

@@ -142,9 +142,13 @@ def _pooled_t_p(a: np.ndarray, b: np.ndarray) -> float | None:
     return float(2.0 * _sps.t.sf(abs(t), n1 + n2 - 2))
 
 
-def _variance_ratio_p(var1: float, n1: int, var2: float, n2: int) -> float | None:
-    """Two-tailed F-test p-value for a ratio of zero-mean variances."""
-    if var1 <= 0.0 or var2 <= 0.0 or n1 < 1 or n2 < 1:
+def _variance_ratio_p(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Two-tailed F-test p-value for the variance ratio of zero-mean samples given as squares."""
+    n1, n2 = len(a), len(b)
+    if n1 < 1 or n2 < 1:
+        return None
+    var1, var2 = float(a.mean()), float(b.mean())
+    if var1 <= 0.0 or var2 <= 0.0:
         return None
     ratio = var2 / var1
     cdf = float(_sps.f.cdf(ratio, n2, n1))

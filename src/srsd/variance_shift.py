@@ -8,29 +8,28 @@ critical variance must keep its sign through l points to confirm.
 
 Regime variances are means of squares: the inputs are residuals that are
 already centered within regimes, so no further mean is estimated.
+
+The scan itself is the shared engine in `_engine` with the `VARIANCE` kind;
+this module holds the F-quantile calibration and the public entry points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _engine
+from ._engine import VARIANCE, ShiftResult
 from .core import (
-    ChangePoint,
     DataError,
     DetectionParams,
     MonitorState,
-    ParameterError,
-    Regime,
     StepStatus,
     TimeSeries,
     as_series,
-    regimes_to_stepwise,
     validate_params,
 )
-from .stats import _variance_ratio_p, f_quantile
+from .stats import f_quantile
 
 __all__ = [
     "VarianceShiftResult",
@@ -39,6 +38,8 @@ __all__ = [
     "init_variance_monitor",
     "monitor_variance",
 ]
+
+VarianceShiftResult = ShiftResult
 
 
 def critical_variances(current_variance: float, params: DetectionParams) -> tuple[float, float]:
@@ -54,82 +55,6 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     return current_variance * f_crit, current_variance / f_crit
 
 
-@dataclass(eq=False)
-class VarianceShiftResult:
-    """Variance regimes, change-points, normalized residuals, and the index trace."""
-
-    regimes: list[Regime]
-    change_points: list[ChangePoint]
-    normalized: TimeSeries
-    rssi: np.ndarray
-
-    @property
-    def stepwise(self) -> np.ndarray:
-        """Each regime's variance repeated over its span."""
-        return regimes_to_stepwise(len(self.normalized), self.regimes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VarianceShiftResult):
-            return NotImplemented
-        return (
-            self.regimes == other.regimes
-            and self.change_points == other.change_points
-            and self.normalized == other.normalized
-            and np.array_equal(self.rssi, other.rssi)
-        )
-
-
-def _build_result(ts: TimeSeries, state: MonitorState) -> VarianceShiftResult:
-    spans, cps, trace = _engine.finalize(state)
-    values = np.asarray(state.raw)
-    squares = values * values
-    span_vars = [float(squares[s - 1 : e].mean()) for s, e in spans]
-    for (s, e), var in zip(spans, span_vars):
-        if var <= 0.0:
-            raise DataError(
-                f"regime [{s}, {e}] has zero variance; normalization is undefined"
-            )
-    p_values: list[float | None] = []
-    for j in range(len(spans) - 1):
-        s0, e0 = spans[j]
-        s1, e1 = spans[j + 1]
-        n0, n1 = e0 - s0 + 1, e1 - s1 + 1
-        if n0 < 4 or n1 < 4:
-            p_values.append(None)
-        else:
-            p_values.append(_variance_ratio_p(span_vars[j], n0, span_vars[j + 1], n1))
-    regimes = [
-        Regime(
-            start=s,
-            end=e,
-            kind="variance",
-            value=span_vars[j],
-            shift_p_value=p_values[j - 1] if j > 0 else None,
-        )
-        for j, (s, e) in enumerate(spans)
-    ]
-    # Confirmed change-points delimit spans in order; a provisional tail
-    # candidate has no completed regime on its right, so its p-value stays None.
-    confirmed_p = iter(p_values)
-    change_points = [
-        ChangePoint(
-            index=cp.index,
-            index_value=cp.index_value,
-            p_value=None if cp.provisional else next(confirmed_p),
-            provisional=cp.provisional,
-        )
-        for cp in cps
-    ]
-    stepwise = regimes_to_stepwise(len(ts), regimes)
-    normalized = TimeSeries(ts.values / np.sqrt(stepwise), labels=ts.labels, name=ts.name)
-    return VarianceShiftResult(
-        regimes=regimes,
-        change_points=change_points,
-        normalized=normalized,
-        rssi=np.asarray(trace),
-    )
-
-
 def detect_variance(
     residuals: TimeSeries | Sequence[float], params: DetectionParams = DetectionParams()
 ) -> VarianceShiftResult:
@@ -139,14 +64,11 @@ def detect_variance(
     each regime's standard deviation (so their mean square is one within
     every regime), and the per-index shift-index trace.
     """
-    validate_params(params)
     ts = as_series(residuals)
-    if len(ts) < params.l:
-        raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")
+    state = init_variance_monitor(ts, params)
     if not np.any(ts.values):
         raise DataError("variance detection is undefined for an all-zero series")
-    state = init_variance_monitor(ts, params)
-    return _build_result(ts, state)
+    return _engine.build_result(VARIANCE, ts, state)
 
 
 def init_variance_monitor(
@@ -156,31 +78,23 @@ def init_variance_monitor(
     validate_params(params)
     ts = as_series(history)
     if len(ts) < params.l:
-        raise DataError(f"need at least l={params.l} history points, got {len(ts)}")
+        raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")
     f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
-    return _engine.init_state("variance", list(ts.values), params.l, f_crit, float(params.l))
+    return _engine.init_state(VARIANCE, ts, params.l, f_crit, float(params.l))
 
 
 def monitor_variance(
     state: MonitorState, new_value: float, params: DetectionParams
 ) -> tuple[MonitorState, StepStatus]:
     """Advance a variance monitor by one residual observation."""
-    if state.kind != "variance":
-        raise ParameterError(f"state belongs to a {state.kind!r} detector")
-    validate_params(params)
-    if params.l != state.cap:
-        raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
-    status = _engine.advance(state, new_value)
-    return state, status
+    return _engine.monitor(VARIANCE, state, new_value, params)
 
 
 def finalize_variance(
     residuals: TimeSeries | Sequence[float], state: MonitorState
 ) -> VarianceShiftResult:
-    """Build the batch-equivalent result from a stream-fed monitor state."""
-    ts = as_series(residuals)
-    if len(ts) != len(state.raw):
-        raise DataError(
-            f"series length {len(ts)} does not match {len(state.raw)} monitored points"
-        )
-    return _build_result(ts, state)
+    """Build the batch-equivalent result from a stream-fed monitor state.
+
+    residuals must hold exactly the monitored points; any other raises DataError.
+    """
+    return _engine.finalize(VARIANCE, residuals, state)

@@ -165,3 +165,19 @@ def test_finalize_checks_series_length():
     state, _ = stream_mean(values, params)
     with pytest.raises(DataError):
         finalize_mean(values[:-1], state)
+
+
+def test_finalize_rejects_values_other_than_the_monitored_ones():
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(80)
+    params = DetectionParams(p=0.05, l=20)
+    other = values.copy()
+    other[56] += 1.0
+    mean_state, _ = stream_mean(values, params)
+    variance_state, _ = stream_variance(values, params)
+    with pytest.raises(DataError, match="position 57"):
+        finalize_mean(other, mean_state)
+    with pytest.raises(DataError, match="position 57"):
+        finalize_variance(other, variance_state)
+    with pytest.raises(DataError, match="position 1"):
+        finalize_mean(np.full(80, 5.0), mean_state)
