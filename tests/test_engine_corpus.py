@@ -1,0 +1,19 @@
+"""The engine reproduces the frozen differential corpus bit for bit.
+
+`engine_corpus.json` holds the detectors' outputs on about 2 000 seeded
+series (see `engine_corpus.py`); regenerate it with
+`python tests/engine_corpus.py --freeze` only when a change of the outputs is
+intended.
+"""
+
+import engine_corpus
+
+
+def test_engine_reproduces_the_frozen_corpus():
+    frozen = engine_corpus.load()
+    cases = engine_corpus.all_cases()
+    assert len(frozen) == len(cases)
+    for record, (meta, values) in zip(frozen, cases):
+        assert {k: record[k] for k in meta} == meta, "the corpus inputs changed"
+        diff = engine_corpus.first_difference(record, engine_corpus.run_case(meta, values))
+        assert diff is None, f"{engine_corpus.describe(meta)}: {diff}"
