@@ -12,6 +12,11 @@ Both detectors run the same state machine over a stream of observations:
   candidate folds back into the open regime and the points seen during the
   failed test are rescanned as ordinary observations.
 
+One kernel, `_scan`, runs the machine with a cursor over a list of scanned
+values; a failed test rewinds the cursor to the point after the candidate.
+Batch detection is one scan of the whole history, a monitor step one scan of
+the new observation after the values of the candidate it resumes.
+
 Everything that differs between the mean and the variance detector is one
 `Kind` record: the engine works on raw values for means and on squared
 residuals for variances, and the critical-bound geometry is additive for
@@ -22,8 +27,7 @@ entry points.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -127,11 +131,7 @@ class ShiftResult:
 
 
 def init_state(
-    kind: Kind,
-    history: TimeSeries,
-    l: int,
-    threshold: float,
-    index_scale: float,
+    kind: Kind, history: TimeSeries, l: int, threshold: float, index_scale: float
 ) -> MonitorState:
     """Seed a monitor from at least l historical observations.
 
@@ -141,21 +141,13 @@ def init_state(
     change-point.
     """
     values = history.values.tolist()
-    bootstrap = [v * v for v in values[:l]] if kind.squared else values[:l]
+    scanned = (history.values * history.values).tolist() if kind.squared else values
+    n = len(values)
+    window = RegimeWindow(start=1, last=l, values=scanned[:l])
     state = MonitorState(
-        kind=kind.name,
-        cap=l,
-        threshold=threshold,
-        index_scale=index_scale,
-        next_index=2,
-        raw=values[:1],
-        current=RegimeWindow.from_members(start=1, cap=l, members=list(enumerate(bootstrap, 1))),
-        pending=None,
-        change_points=[],
-        trace=[0.0],
+        kind.name, l, threshold, index_scale, n + 1, values, window, None, [], [0.0] * n
     )
-    for value in values[1:]:
-        advance(state, value)
+    _scan(state, kind.multiplicative, scanned, 1, 1)
     return state
 
 
@@ -164,69 +156,91 @@ def advance(state: MonitorState, raw_value: float) -> StepStatus:
     kind = KINDS[state.kind]
     raw_value = float(raw_value)
     index = state.next_index
-    state.next_index += 1
+    state.next_index = index + 1
     state.raw.append(raw_value)
     state.trace.append(0.0)
     value = raw_value * raw_value if kind.squared else raw_value
-    queue: deque[tuple[int, float]] = deque([(index, value)])
-    status = _STABLE
-    while queue:
-        i, value = queue.popleft()
-        pend = state.pending
-        if pend is None:
-            est = state.current.estimate()
-            if kind.multiplicative:
-                lo, hi = est / state.threshold, est * state.threshold
+    pend = state.pending
+    if pend is None:
+        confirmed = _scan(state, kind.multiplicative, [value], index, 0)
+    else:
+        pend.values.append(value)
+        confirmed = _scan(state, kind.multiplicative, pend.values, pend.index, pend.tested)
+    pend = state.pending
+    if pend is not None:
+        return StepStatus("candidate", pend.index, pend.csum / state.index_scale)
+    return _STABLE if confirmed is None else StepStatus("confirmed", change_point=confirmed)
+
+
+def _scan(
+    state: MonitorState, multiplicative: bool, buf: list[float], base: int, i: int
+) -> ChangePoint | None:
+    """Scan buf[i:], where buf[k] is the scanned value of point base + k.
+
+    A candidate that state holds open starts at buf[0] and has been tested
+    on buf[:i]. The window always holds exactly cap values. Returns the
+    change-point confirmed at the last point of buf, if any.
+    """
+    cap, threshold, n = state.cap, state.threshold, len(buf)
+    window, pend, confirmed = state.current, state.pending, None
+    win, last = window.values, window.last
+    start = -1 if pend is None else 0
+    if pend is not None:
+        up, critical, csum = pend.direction == "up", pend.critical, pend.csum
+    while i < n:
+        if start < 0:
+            value = buf[i]
+            est = sum(win) / cap
+            if multiplicative:
+                lo, hi = est / threshold, est * threshold
             else:
-                lo, hi = est - state.threshold, est + state.threshold
-            if i > 1 and value > hi:
-                direction, critical = "up", hi
-            elif i > 1 and value < lo:
-                direction, critical = "down", lo
+                lo, hi = est - threshold, est + threshold
+            if value > hi:
+                up, critical = True, hi
+            elif value < lo:
+                up, critical = False, lo
             else:
-                state.current.push(i, value)
-                status = _STABLE
+                if base + i > last:  # points of the bootstrap window are members already
+                    last = base + i
+                    win.append(value)
+                    del win[0]
+                i += 1
                 continue
             if state.index_scale <= 0.0:
+                window.last = last
                 raise DataError("degenerate series: shift index scale is zero")
-            # The candidate's own point is the first one its test counts, below.
-            pend = state.pending = PendingCandidate(
-                index=i, direction=direction, critical=critical, csum=0.0, tested=0, values=[]
-            )
-        pend.csum += value - pend.critical
-        pend.tested += 1
-        pend.values.append(value)
-        lost_sign = pend.csum <= 0.0 if pend.direction == "up" else pend.csum >= 0.0
-        if lost_sign:
-            # Failed test: the candidate is a fluctuation of the open regime;
-            # everything after it is rescanned as fresh observations.
-            state.pending = None
-            state.current.push(pend.index, pend.values[0])
-            queue.extendleft(
-                (pend.index + k, pend.values[k]) for k in range(len(pend.values) - 1, 0, -1)
-            )
-            status = _STABLE
-        elif pend.tested == state.cap:
-            status = _confirm(state, pend)
-        else:
-            status = StepStatus(
-                state="candidate",
-                candidate_index=pend.index,
-                index_value=pend.csum / state.index_scale,
-            )
-    return status
-
-
-def _confirm(state: MonitorState, pend: PendingCandidate) -> StepStatus:
-    cp = ChangePoint(index=pend.index, index_value=pend.csum / state.index_scale)
-    state.change_points.append(cp)
-    state.trace[pend.index - 1] = cp.index_value
-    window = [(pend.index + k, v) for k, v in enumerate(pend.values)]
-    state.current = RegimeWindow.from_members(
-        start=pend.index, cap=state.cap, members=window
-    )
-    state.pending = None
-    return StepStatus(state="confirmed", change_point=cp)
+            # The candidate's own point is the first one its test counts.
+            start, csum = i, 0.0
+        while i < n:
+            csum += buf[i] - critical
+            i += 1
+            if csum <= 0.0 if up else csum >= 0.0:
+                # Failed test: the candidate joins the open regime and the
+                # cursor rewinds to rescan everything after it.
+                if base + start > last:
+                    last = base + start
+                    win.append(buf[start])
+                    del win[0]
+                i, start = start + 1, -1
+                break
+            if i - start == cap:
+                cp = ChangePoint(index=base + start, index_value=csum / state.index_scale)
+                state.change_points.append(cp)
+                state.trace[cp.index - 1] = cp.index_value
+                win, last = buf[start:i], base + i - 1
+                window = state.current = RegimeWindow(start=cp.index, last=last, values=win)
+                confirmed, start = cp if i == n else None, -1
+                break
+    window.last = last
+    if start < 0:
+        state.pending = None
+    elif pend is not None and start == 0:
+        pend.csum, pend.tested = csum, n
+    else:
+        state.pending = PendingCandidate(
+            base + start, "up" if up else "down", critical, csum, n - start, buf[start:]
+        )
+    return confirmed
 
 
 def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult:
@@ -255,26 +269,14 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
         for (s0, e0), (s1, e1) in zip(spans, spans[1:])
     ]
     regimes = [
-        Regime(
-            start=s,
-            end=e,
-            kind=kind.name,
-            value=float(scanned[s - 1 : e].mean()),
-            shift_p_value=p_values[j - 1] if j > 0 else None,
-        )
+        Regime(s, e, kind.name, float(scanned[s - 1 : e].mean()), p_values[j - 1] if j else None)
         for j, (s, e) in enumerate(spans)
     ]
     # Confirmed change-points delimit spans in order; a provisional tail
     # candidate has no completed regime on its right, so its p-value stays None.
     confirmed_p = iter(p_values)
     change_points = [
-        ChangePoint(
-            index=cp.index,
-            index_value=cp.index_value,
-            p_value=None if cp.provisional else next(confirmed_p),
-            provisional=cp.provisional,
-        )
-        for cp in cps
+        replace(cp, p_value=None if cp.provisional else next(confirmed_p)) for cp in cps
     ]
     series = TimeSeries(kind.output(ts.values, regimes), labels=ts.labels, name=ts.name)
     return ShiftResult(regimes, change_points, series, trace)
@@ -283,12 +285,17 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
 def monitor(
     kind: Kind, state: MonitorState, new_value: float, params: DetectionParams
 ) -> tuple[MonitorState, StepStatus]:
-    """Advance a monitor of this kind by one observation."""
+    """Advance a monitor of this kind by one observation.
+
+    Each params object is checked once per state: DetectionParams is frozen.
+    """
     if state.kind != kind.name:
         raise ParameterError(f"state belongs to a {state.kind!r} detector")
-    validate_params(params)
-    if params.l != state.cap:
-        raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
+    if params is not state.checked_params:
+        validate_params(params)
+        if params.l != state.cap:
+            raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
+        state.checked_params = params
     return state, advance(state, new_value)
 
 

@@ -190,29 +190,12 @@ class ChangePoint:
 
 @dataclass
 class RegimeWindow:
-    """Running estimate of the open regime: the last <= cap member values."""
+    """The open regime: its first index, the index of its last member and the
+    scanned values of its last <= cap members, whose mean is its estimate."""
 
     start: int
-    count: int
-    cap: int
-    recent: list[tuple[int, float]] = field(default_factory=list)
-
-    @classmethod
-    def from_members(cls, start: int, cap: int, members: list[tuple[int, float]]) -> "RegimeWindow":
-        return cls(start=start, count=len(members), cap=cap, recent=list(members[-cap:]))
-
-    def push(self, index: int, value: float) -> None:
-        # Replayed points that are already members (e.g. the bootstrap window)
-        # arrive again with an old index; membership must not double-count them.
-        if self.recent and index <= self.recent[-1][0]:
-            return
-        self.recent.append((index, value))
-        self.count += 1
-        if len(self.recent) > self.cap:
-            del self.recent[0]
-
-    def estimate(self) -> float:
-        return sum(v for _, v in self.recent) / len(self.recent)
+    last: int
+    values: list[float]
 
 
 @dataclass
@@ -231,8 +214,11 @@ class PendingCandidate:
 class MonitorState:
     """Full streaming state of a mean or variance detector.
 
-    The state is advanced one observation at a time and is mutated only by the
-    detector that owns it; batch detection is a fold of the same advance.
+    The state is mutated only by the detector that owns it, through one scan
+    kernel whose cursor runs over the whole history in batch detection and
+    over each new observation in a monitor; a failed candidate test rewinds
+    it to the point after the candidate. checked_params is the last params
+    object a monitor call accepted for this state.
     """
 
     kind: Literal["mean", "variance"]
@@ -245,6 +231,7 @@ class MonitorState:
     pending: PendingCandidate | None
     change_points: list[ChangePoint]
     trace: list[float]
+    checked_params: DetectionParams | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .core import (
 )
 from .mean_shift import detect_mean
 from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
-from .stats import fisher_ci, fisher_compare, pearson_r
+from .stats import _pearson, fisher_ci, fisher_compare
 from .variance_shift import detect_variance
 
 __all__ = [
@@ -90,10 +90,7 @@ def _segment_r(x: np.ndarray, y: np.ndarray, start: int, end: int) -> float | No
     """Pearson r over the 1-based inclusive span, None when undefined."""
     if end - start + 1 < 2:
         return None
-    try:
-        return pearson_r(x[start - 1 : end], y[start - 1 : end])
-    except DataError:
-        return None
+    return _pearson(x[start - 1 : end], y[start - 1 : end])
 
 
 def _split_p_value(

@@ -68,12 +68,20 @@ def pearson_r(x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]) 
         raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise DataError("correlation requires at least 2 observations")
-    xd = xs.values - xs.values.mean()
-    yd = ys.values - ys.values.mean()
+    r = _pearson(xs.values, ys.values)
+    if r is None:
+        raise DataError("correlation is undefined for a constant series")
+    return r
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Pearson r of two finite equal-length float arrays; None if either is constant."""
+    xd = x - x.mean()
+    yd = y - y.mean()
     sx = float(np.sqrt(np.dot(xd, xd)))
     sy = float(np.sqrt(np.dot(yd, yd)))
     if sx == 0.0 or sy == 0.0:
-        raise DataError("correlation is undefined for a constant series")
+        return None
     r = float(np.dot(xd, yd) / (sx * sy))
     return max(-1.0, min(1.0, r))
 

@@ -45,6 +45,12 @@ def stream_variance(values, params, warmup=None):
     return state, statuses
 
 
+MONITORS = {
+    "mean": (init_mean_monitor, monitor_mean),
+    "variance": (init_variance_monitor, monitor_variance),
+}
+
+
 # ---------------------------------------------------------------------------
 # Batch/stream equivalence
 
@@ -149,6 +155,83 @@ def test_monitor_rejects_foreign_state():
         monitor_variance(mean_state, 0.1, params)
     with pytest.raises(ParameterError):
         monitor_mean(var_state, 0.1, params)
+
+
+@pytest.mark.parametrize("kind", ["mean", "variance"])
+def test_a_valid_call_does_not_vouch_for_other_params(kind):
+    rng = np.random.default_rng(0)
+    params = DetectionParams(p=0.05, l=20)
+    init, step = MONITORS[kind]
+    state = init(rng.standard_normal(30), params)
+    step(state, 0.1, params)
+    with pytest.raises(ParameterError, match="does not match monitor l=20"):
+        step(state, 0.1, DetectionParams(p=0.05, l=25))
+    with pytest.raises(ParameterError, match="p must lie strictly between 0 and 1"):
+        step(state, 0.1, DetectionParams(p=1.5, l=20))
+    with pytest.raises(ParameterError, match="l must be an integer"):
+        step(state, 0.1, DetectionParams(p=0.05, l=20.0))
+    assert len(state.raw) == 31
+    # The rejected objects changed nothing: the accepted one and an equal copy still pass.
+    step(state, 0.1, params)
+    step(state, 0.1, DetectionParams(p=0.05, l=20))
+    assert len(state.raw) == 33
+
+
+def test_monitor_rejects_foreign_state_after_a_valid_call():
+    rng = np.random.default_rng(0)
+    params = DetectionParams(p=0.05, l=20)
+    mean_state = init_mean_monitor(rng.standard_normal(30), params)
+    var_state = init_variance_monitor(rng.standard_normal(30), params)
+    monitor_mean(mean_state, 0.1, params)
+    monitor_variance(var_state, 0.1, params)
+    with pytest.raises(ParameterError, match="'mean' detector"):
+        monitor_variance(mean_state, 0.1, params)
+    with pytest.raises(ParameterError, match="'variance' detector"):
+        monitor_mean(var_state, 0.1, params)
+
+
+def _batch_status(result, t, l):
+    """(state, candidate index, index value) that detect_* on the first t points implies."""
+    provisional = [cp for cp in result.change_points if cp.provisional]
+    if provisional:
+        return "candidate", provisional[0].index, provisional[0].index_value
+    # A change-point is confirmed by the l-th point of its test.
+    last = result.change_points[-1] if result.change_points else None
+    if last is not None and last.index + l - 1 == t:
+        return "confirmed", last.index, last.index_value
+    return "stable", None, None
+
+
+@pytest.mark.parametrize("kind", ["mean", "variance"])
+def test_every_call_matches_detect_on_the_prefix_including_replays(kind):
+    """Each call's status is what detect_* on the points fed so far implies,
+    also when the call fails a test and rescans several points."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(120)
+    params = DetectionParams(p=0.5, l=8)
+    init, step = MONITORS[kind]
+    detect = detect_mean if kind == "mean" else detect_variance
+    replays = reopened = 0
+    for t in range(params.l + 1, len(values) + 1):
+        prefix = values[:t]
+        if kind == "mean":
+            # detect_mean calibrates on the whole prefix; so does this monitor.
+            state = init(values[: params.l], params, avg_var=running_avg_variance(prefix, params.l))
+        else:
+            state = init(values[: params.l], params)
+        for v in prefix[params.l : -1]:
+            step(state, float(v), params)
+        before = state.pending
+        _, status = step(state, float(prefix[-1]), params)
+        if before is not None and before.tested >= 3 and state.pending is not before:
+            replays += 1
+            reopened += status.state == "candidate"
+        if status.state == "confirmed":
+            got = ("confirmed", status.change_point.index, status.change_point.index_value)
+        else:
+            got = (status.state, status.candidate_index, status.index_value)
+        assert got == _batch_status(detect(prefix, params), t, params.l), t
+    assert replays and reopened
 
 
 def test_monitor_rejects_mismatched_window():

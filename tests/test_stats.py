@@ -176,6 +176,19 @@ def test_pearson_rejects_degenerate_inputs():
         pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def test_pipeline_segment_r_equals_pearson_r_bit_for_bit():
+    """The pipeline's unchecked path gives pearson_r's exact bits on any slice."""
+    from srsd.pipeline import _segment_r
+
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(300)
+    y = 0.3 * x + rng.standard_normal(300)
+    for start, end in [(1, 300), (2, 3), (5, 44), (17, 250), (101, 300)]:
+        assert _segment_r(x, y, start, end) == pearson_r(x[start - 1 : end], y[start - 1 : end])
+    x[10:20] = 1.5
+    assert _segment_r(x, y, 11, 20) is None
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     scale=st.floats(0.01, 100.0),
