@@ -2,7 +2,7 @@
 
 Both detectors run the same state machine over a stream of observations:
 
-* the open regime keeps a running estimate from its most recent <= l member
+* the open regime keeps a running estimate from its most recent l member
   values (bootstrapped from the first l observations of the series);
 * an observation falling outside the regime's critical bounds opens a
   candidate change-point and starts a cumulative shift index over the next
@@ -156,7 +156,7 @@ def advance(state: MonitorState, raw_value: float) -> StepStatus:
     kind = KINDS[state.kind]
     raw_value = float(raw_value)
     index = state.next_index
-    state.next_index = index + 1
+    state.next_index += 1
     state.raw.append(raw_value)
     state.trace.append(0.0)
     value = raw_value * raw_value if kind.squared else raw_value

@@ -191,7 +191,7 @@ class ChangePoint:
 @dataclass
 class RegimeWindow:
     """The open regime: its first index, the index of its last member and the
-    scanned values of its last <= cap members, whose mean is its estimate."""
+    scanned values of its last cap members, whose mean is its estimate."""
 
     start: int
     last: int
