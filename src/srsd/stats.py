@@ -1,4 +1,10 @@
-"""Distribution quantiles and correlation statistics used by the detectors."""
+"""Distribution quantiles and correlation statistics used by the detectors.
+
+The t, F and normal functions are scipy.special's kernels called directly.
+scipy's distribution objects call the same kernels, behind a per-call
+argument-checking and broadcasting front end that costs 20-300 times the
+kernel on a scalar.
+"""
 from __future__ import annotations
 
 import math
@@ -7,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats as _sps
+from scipy.special import fdtr, fdtri, ndtri, stdtr, stdtrit
 
 from .core import DataError, ParameterError, TimeSeries, as_series
 
@@ -23,26 +29,28 @@ __all__ = [
 ]
 
 
-def _check_prob(prob: float) -> float:
+def _check_prob(prob: float, name: str = "prob") -> float:
     if not (0.0 < prob < 1.0):
-        raise ParameterError(f"prob must lie strictly between 0 and 1, got {prob!r}")
+        raise ParameterError(f"{name} must lie strictly between 0 and 1, got {prob!r}")
     return float(prob)
 
 
 def student_t_quantile(prob: float, df: int) -> float:
     """Inverse CDF of Student's t distribution with df degrees of freedom."""
     _check_prob(prob)
-    if df < 1:
+    if not df >= 1:  # written so that a NaN df fails too
         raise ParameterError(f"df must be a positive integer, got {df!r}")
-    return float(_sps.t.ppf(prob, df))
+    return float(stdtrit(df, prob))
 
 
 def f_quantile(prob: float, df1: int, df2: int) -> float:
     """Inverse CDF of the F distribution with (df1, df2) degrees of freedom."""
     _check_prob(prob)
-    if df1 < 1 or df2 < 1:
-        raise ParameterError(f"degrees of freedom must be positive, got ({df1!r}, {df2!r})")
-    return float(_sps.f.ppf(prob, df1, df2))
+    if not df1 >= 1:
+        raise ParameterError(f"df1 must be positive, got {df1!r}")
+    if not df2 >= 1:
+        raise ParameterError(f"df2 must be positive, got {df2!r}")
+    return float(fdtri(df1, df2, prob))
 
 
 def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
@@ -122,8 +130,8 @@ def fisher_compare(r1: float, n1: int, r2: float, n2: int) -> CorrelationCompari
 def fisher_ci(r: float, n: int, confidence: float = 0.90) -> tuple[float, float]:
     """Confidence interval for a correlation coefficient via Fisher's z."""
     _check_fisher_args(r, n, "sample")
-    _check_prob(confidence)
-    z_crit = float(_sps.norm.ppf(0.5 + confidence / 2.0))
+    _check_prob(confidence, "confidence")
+    z_crit = float(ndtri(0.5 + confidence / 2.0))
     half = z_crit / math.sqrt(n - 3)
     center = math.atanh(r)
     return (math.tanh(center - half), math.tanh(center + half))
@@ -147,7 +155,7 @@ def _pooled_t_p(a: np.ndarray, b: np.ndarray) -> float | None:
     if sp2 <= 0.0:
         return None
     t = (np.mean(b) - np.mean(a)) / math.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
-    return float(2.0 * _sps.t.sf(abs(t), n1 + n2 - 2))
+    return float(2.0 * stdtr(n1 + n2 - 2, -abs(t)))
 
 
 def _variance_ratio_p(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -159,5 +167,5 @@ def _variance_ratio_p(a: np.ndarray, b: np.ndarray) -> float | None:
     if var1 <= 0.0 or var2 <= 0.0:
         return None
     ratio = var2 / var1
-    cdf = float(_sps.f.cdf(ratio, n2, n1))
+    cdf = float(fdtr(n2, n1, ratio))
     return min(1.0, 2.0 * min(cdf, 1.0 - cdf))

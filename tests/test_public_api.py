@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import os
+import subprocess
 import sys
 from collections import Counter
 from importlib import resources
@@ -13,7 +14,8 @@ import pytest
 
 import srsd
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 # The surface may shrink, which edits this list; it may not grow unnoticed.
 PUBLIC_NAMES = [
@@ -150,3 +152,13 @@ def test_bench_patch_targets_are_called_through_their_globals(tmp_path, monkeypa
         monkeypatch.setattr(module, attr, counting((module_name, attr), getattr(module, attr)))
     exercise_the_bench_call_paths(tmp_path)
     assert [key for key in BENCH_PATCHES if calls[key] == 0] == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """A cold `srsd` start pays for scipy.special only, not the scipy.stats import."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, srsd.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

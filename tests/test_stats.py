@@ -2,7 +2,9 @@
 
 Quantile accuracy is checked against an independent high-precision oracle
 (mpmath regularized incomplete beta + bisection) rather than against the
-implementation's own backend.
+implementation's own backend. Separately, the scipy.special kernels the
+package calls are pinned bit for bit to the scipy.stats distribution calls
+they replaced, which the tests import as a reference only.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from srsd import (
     DataError,
@@ -25,6 +28,7 @@ from srsd import (
     running_avg_variance,
     student_t_quantile,
 )
+from srsd.stats import _pooled_t_p, _variance_ratio_p
 
 mpmath.mp.dps = 40
 
@@ -75,7 +79,9 @@ def test_t_quantile_antisymmetry(prob, df):
     assert q == pytest.approx(-q_mirror, abs=1e-9 + 1e-9 * abs(q))
 
 
-@pytest.mark.parametrize("bad", [(0.0, 5), (1.0, 5), (1.5, 5), (0.5, 0), (0.5, -3)])
+@pytest.mark.parametrize(
+    "bad", [(0.0, 5), (1.0, 5), (1.5, 5), (0.5, 0), (0.5, -3), (0.5, float("nan"))]
+)
 def test_t_quantile_rejects_bad_inputs(bad):
     with pytest.raises(ParameterError):
         student_t_quantile(*bad)
@@ -124,6 +130,10 @@ def test_f_quantile_rejects_bad_inputs():
         f_quantile(0.5, 0, 3)
     with pytest.raises(ParameterError):
         f_quantile(1.0, 3, 3)
+    with pytest.raises(ParameterError, match="df1"):
+        f_quantile(0.975, float("nan"), 5)
+    with pytest.raises(ParameterError, match="df2"):
+        f_quantile(0.975, 5, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +305,91 @@ def test_fisher_ci_rejects_degenerate():
         fisher_ci(1.0, 30, 0.9)
     with pytest.raises(DataError):
         fisher_ci(0.5, 3, 0.9)
+    with pytest.raises(ParameterError, match="^confidence must lie strictly between 0 and 1"):
+        fisher_ci(0.3, 20, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The scipy.special kernels return the same bits as the scipy.stats dispatch
+
+
+def _t_statistic(a, b):
+    n1, n2 = len(a), len(b)
+    sp2 = ((n1 - 1) * np.var(a, ddof=1) + (n2 - 1) * np.var(b, ddof=1)) / (n1 + n2 - 2)
+    return (np.mean(b) - np.mean(a)) / math.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
+
+
+def _stats_pooled_t_p(a, b):
+    """_pooled_t_p as it read on scipy.stats.t.sf."""
+    return float(2.0 * sps.t.sf(abs(_t_statistic(a, b)), len(a) + len(b) - 2))
+
+
+def _stats_variance_ratio_p(a, b):
+    """_variance_ratio_p as it read on scipy.stats.f.cdf."""
+    cdf = float(sps.f.cdf(float(b.mean()) / float(a.mean()), len(b), len(a)))
+    return min(1.0, 2.0 * min(cdf, 1.0 - cdf))
+
+
+def _stats_fisher_ci(r, n, confidence):
+    """fisher_ci as it read on scipy.stats.norm.ppf."""
+    half = float(sps.norm.ppf(0.5 + confidence / 2.0)) / math.sqrt(n - 3)
+    return (math.tanh(math.atanh(r) - half), math.tanh(math.atanh(r) + half))
+
+
+def test_special_kernels_match_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(20150101)
+    mismatches = []
+
+    def check(what, got, want):
+        got = [float(v).hex() for v in np.atleast_1d(got)]
+        want = [float(v).hex() for v in np.atleast_1d(want)]
+        if got != want:
+            mismatches.append((what, got, want))
+
+    # The detectors' calibration grid: (1 - p/2, 2l - 2) and (1 - p/2, l - 1, l - 1).
+    for l in range(3, 401):
+        for p in (0.001, 0.01, 0.05, 0.1, 0.5):
+            prob = 1.0 - p / 2.0
+            df = 2 * l - 2
+            check(("t", prob, df), student_t_quantile(prob, df), sps.t.ppf(prob, df))
+            df = l - 1
+            check(("f", prob, df), f_quantile(prob, df, df), sps.f.ppf(prob, df, df))
+
+    # Random arguments, with probabilities spread over the tails too.
+    tails = 10.0 ** -rng.uniform(1.0, 12.0, 400)
+    probs = np.concatenate([rng.uniform(0.0, 1.0, 400), tails, 1.0 - tails])
+    for prob in probs:
+        if not 0.0 < prob < 1.0:
+            continue
+        df1, df2 = (int(d) for d in rng.integers(1, 2000, 2))
+        check(("t", prob, df1), student_t_quantile(prob, df1), sps.t.ppf(prob, df1))
+        check(("f", prob, df1, df2), f_quantile(prob, df1, df2), sps.f.ppf(prob, df1, df2))
+        r, n = float(rng.uniform(-0.99, 0.99)), int(rng.integers(4, 2000))
+        check(("ci", r, n, prob), fisher_ci(r, n, prob), _stats_fisher_ci(r, n, prob))
+
+    # The span tests on random samples, including variance ratios from 1e-12 to 1e12.
+    for _ in range(600):
+        n1, n2 = (int(d) for d in rng.integers(2, 200, 2))
+        a = rng.normal(0.0, 1.0, n1)
+        b = rng.normal(rng.normal(0.0, 2.0), rng.uniform(0.1, 3.0), n2)
+        check(("t-span", n1, n2), _pooled_t_p(a, b), _stats_pooled_t_p(a, b))
+        a2 = a * a * 10.0 ** rng.uniform(-6.0, 6.0)
+        b2 = b * b * 10.0 ** rng.uniform(-6.0, 6.0)
+        check(("f-span", n1, n2), _variance_ratio_p(a2, b2), _stats_variance_ratio_p(a2, b2))
+
+    # Edges: a t of +inf and -inf (the statistic overflows on purpose), and
+    # variance ratios of 0 and inf.
+    for sign in (1.0, -1.0):
+        a, b = np.array([0.0, 1e-160]), np.array([sign * 1e200, sign * 1e200])
+        with np.errstate(over="ignore"):
+            assert _t_statistic(a, b) == sign * math.inf
+            check(("t-span", sign), _pooled_t_p(a, b), _stats_pooled_t_p(a, b))
+    for var1, var2 in ((1e300, 1e-300), (1e-300, 1e300)):
+        a2, b2 = np.array([var1]), np.array([var2])
+        assert var2 / var1 in (0.0, math.inf)
+        check(("f-span", var1), _variance_ratio_p(a2, b2), _stats_variance_ratio_p(a2, b2))
+
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------
