@@ -27,6 +27,7 @@ entry points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
@@ -40,7 +41,6 @@ from .core import (
     ParameterError,
     PendingCandidate,
     Regime,
-    RegimeWindow,
     StepStatus,
     TimeSeries,
     as_series,
@@ -142,34 +142,9 @@ def init_state(
     """
     values = history.values.tolist()
     scanned = (history.values * history.values).tolist() if kind.squared else values
-    n = len(values)
-    window = RegimeWindow(start=1, last=l, values=scanned[:l])
-    state = MonitorState(
-        kind.name, l, threshold, index_scale, n + 1, values, window, None, [], [0.0] * n
-    )
+    state = MonitorState(kind.name, l, threshold, index_scale, values, scanned[:l], l, None, [])
     _scan(state, kind.multiplicative, scanned, 1, 1)
     return state
-
-
-def advance(state: MonitorState, raw_value: float) -> StepStatus:
-    """Feed one observation; returns the detector's resulting status."""
-    kind = KINDS[state.kind]
-    raw_value = float(raw_value)
-    index = state.next_index
-    state.next_index += 1
-    state.raw.append(raw_value)
-    state.trace.append(0.0)
-    value = raw_value * raw_value if kind.squared else raw_value
-    pend = state.pending
-    if pend is None:
-        confirmed = _scan(state, kind.multiplicative, [value], index, 0)
-    else:
-        pend.values.append(value)
-        confirmed = _scan(state, kind.multiplicative, pend.values, pend.index, pend.tested)
-    pend = state.pending
-    if pend is not None:
-        return StepStatus("candidate", pend.index, pend.csum / state.index_scale)
-    return _STABLE if confirmed is None else StepStatus("confirmed", change_point=confirmed)
 
 
 def _scan(
@@ -182,11 +157,10 @@ def _scan(
     change-point confirmed at the last point of buf, if any.
     """
     cap, threshold, n = state.cap, state.threshold, len(buf)
-    window, pend, confirmed = state.current, state.pending, None
-    win, last = window.values, window.last
+    win, last, pend, confirmed = state.window, state.last, state.pending, None
     start = -1 if pend is None else 0
     if pend is not None:
-        up, critical, csum = pend.direction == "up", pend.critical, pend.csum
+        up, critical, csum = pend.csum > 0.0, pend.critical, pend.csum
     while i < n:
         if start < 0:
             value = buf[i]
@@ -207,7 +181,7 @@ def _scan(
                 i += 1
                 continue
             if state.index_scale <= 0.0:
-                window.last = last
+                state.last = last
                 raise DataError("degenerate series: shift index scale is zero")
             # The candidate's own point is the first one its test counts.
             start, csum = i, 0.0
@@ -226,20 +200,17 @@ def _scan(
             if i - start == cap:
                 cp = ChangePoint(index=base + start, index_value=csum / state.index_scale)
                 state.change_points.append(cp)
-                state.trace[cp.index - 1] = cp.index_value
-                win, last = buf[start:i], base + i - 1
-                window = state.current = RegimeWindow(start=cp.index, last=last, values=win)
+                win = state.window = buf[start:i]
+                last = base + i - 1
                 confirmed, start = cp if i == n else None, -1
                 break
-    window.last = last
+    state.last = last
     if start < 0:
         state.pending = None
     elif pend is not None and start == 0:
-        pend.csum, pend.tested = csum, n
+        pend.csum = csum
     else:
-        state.pending = PendingCandidate(
-            base + start, "up" if up else "down", critical, csum, n - start, buf[start:]
-        )
+        state.pending = PendingCandidate(base + start, critical, csum, buf[start:])
     return confirmed
 
 
@@ -252,13 +223,12 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
     confirmed change-points delimit regime spans, so the last span runs to
     the end of the series. The state itself is not modified.
     """
-    cps = list(state.change_points)
-    trace = np.asarray(state.trace)
-    if state.pending is not None:
-        pend = state.pending
-        index_value = pend.csum / state.index_scale
-        cps.append(ChangePoint(index=pend.index, index_value=index_value, provisional=True))
-        trace[pend.index - 1] = index_value
+    cps, pend = list(state.change_points), state.pending
+    if pend is not None:
+        cps.append(ChangePoint(pend.index, pend.csum / state.index_scale, provisional=True))
+    trace = np.zeros(len(ts))
+    for cp in cps:
+        trace[cp.index - 1] = cp.index_value
     starts = [1] + [cp.index for cp in state.change_points]
     spans = list(zip(starts, [s - 1 for s in starts[1:]] + [len(ts)]))
     scanned = ts.values * ts.values if kind.squared else ts.values
@@ -288,15 +258,31 @@ def monitor(
     """Advance a monitor of this kind by one observation.
 
     Each params object is checked once per state: DetectionParams is frozen.
+    A non-finite observation raises DataError and leaves the state as it was.
     """
     if state.kind != kind.name:
         raise ParameterError(f"state belongs to a {state.kind!r} detector")
+    raw_value = float(new_value)
+    if not math.isfinite(raw_value):
+        raise DataError(f"observation {raw_value!r} at position {len(state.raw) + 1} is not finite")
     if params is not state.checked_params:
         validate_params(params)
         if params.l != state.cap:
             raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
         state.checked_params = params
-    return state, advance(state, new_value)
+    state.raw.append(raw_value)
+    value = raw_value * raw_value if kind.squared else raw_value
+    pend = state.pending
+    if pend is None:
+        buf, base = [value], len(state.raw)
+    else:
+        buf, base = pend.values, pend.index
+        buf.append(value)
+    confirmed = _scan(state, kind.multiplicative, buf, base, len(buf) - 1)
+    pend = state.pending
+    if pend is not None:
+        return state, StepStatus("candidate", pend.index, pend.csum / state.index_scale)
+    return state, _STABLE if confirmed is None else StepStatus("confirmed", change_point=confirmed)
 
 
 def finalize(

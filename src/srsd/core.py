@@ -18,7 +18,6 @@ __all__ = [
     "DetectionParams",
     "Regime",
     "ChangePoint",
-    "RegimeWindow",
     "PendingCandidate",
     "MonitorState",
     "StepStatus",
@@ -189,24 +188,18 @@ class ChangePoint:
 
 
 @dataclass
-class RegimeWindow:
-    """The open regime: its first index, the index of its last member and the
-    scanned values of its last cap members, whose mean is its estimate."""
-
-    start: int
-    last: int
-    values: list[float]
-
-
-@dataclass
 class PendingCandidate:
-    """A potential change-point undergoing its confirmation test."""
+    """A potential change-point undergoing its confirmation test.
+
+    values are the scanned values tested so far, the candidate's own first,
+    so the test length is len(values). The sign of csum, their summed
+    deviation from critical, is the direction: a zero or wrong-signed sum
+    fails the test.
+    """
 
     index: int
-    direction: Literal["up", "down"]
     critical: float
     csum: float
-    tested: int
     values: list[float]
 
 
@@ -217,20 +210,23 @@ class MonitorState:
     The state is mutated only by the detector that owns it, through one scan
     kernel whose cursor runs over the whole history in batch detection and
     over each new observation in a monitor; a failed candidate test rewinds
-    it to the point after the candidate. checked_params is the last params
-    object a monitor call accepted for this state.
+    it to the point after the candidate. raw holds every point fed, so the
+    newest one's index is len(raw). window holds the scanned values of the
+    open regime's newest cap members, whose mean is its estimate, and last
+    is the index of the newest of them. Results derive the shift-index trace
+    from change_points and pending. checked_params is the last params object
+    a monitor call accepted for this state.
     """
 
     kind: Literal["mean", "variance"]
     cap: int
     threshold: float
     index_scale: float
-    next_index: int
     raw: list[float]
-    current: RegimeWindow
+    window: list[float]
+    last: int
     pending: PendingCandidate | None
     change_points: list[ChangePoint]
-    trace: list[float]
     checked_params: DetectionParams | None = field(default=None, repr=False, compare=False)
 
 

@@ -47,8 +47,8 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     average variance of running l-point windows.
     """
     validate_params(params)
-    if avg_var < 0.0:
-        raise ParameterError(f"avg_var must be non-negative, got {avg_var}")
+    if not 0.0 <= avg_var < math.inf:  # written so that a NaN avg_var fails too
+        raise ParameterError(f"avg_var must be finite and non-negative, got {avg_var!r}")
     t = student_t_quantile(1.0 - params.p / 2.0, 2 * params.l - 2)
     return t * math.sqrt(2.0 * avg_var / params.l)
 

@@ -14,6 +14,7 @@ this module holds the F-quantile calibration and the public entry points.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +50,8 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     with (l - 1, l - 1) degrees of freedom.
     """
     validate_params(params)
-    if current_variance <= 0.0:
-        raise DataError(f"current variance must be positive, got {current_variance}")
+    if not 0.0 < current_variance < math.inf:  # written so that a NaN fails too
+        raise DataError(f"current variance must be finite and positive, got {current_variance!r}")
     f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
     return current_variance * f_crit, current_variance / f_crit
 

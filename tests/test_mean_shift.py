@@ -9,8 +9,10 @@ from scipy import stats as sps
 from srsd import (
     DataError,
     DetectionParams,
+    ParameterError,
     derive_seeds,
     detect_mean,
+    init_mean_monitor,
     threshold_delta,
 )
 
@@ -21,6 +23,14 @@ from srsd import (
 
 def test_threshold_zero_variance_gives_zero():
     assert threshold_delta(DetectionParams(p=0.05, l=20), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("avg_var", [-1.0, float("nan"), float("inf")])
+def test_threshold_rejects_bad_avg_var(avg_var):
+    with pytest.raises(ParameterError, match="avg_var must be finite and non-negative"):
+        threshold_delta(DetectionParams(p=0.05, l=20), avg_var)
+    with pytest.raises(ParameterError, match="avg_var"):
+        init_mean_monitor(np.zeros(20), DetectionParams(p=0.05, l=20), avg_var=avg_var)
 
 
 def test_threshold_default_params():

@@ -1,5 +1,8 @@
 """Streaming monitors: single-point advance equals batch detection."""
 
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from srsd import (
     DataError,
     DetectionParams,
+    MonitorState,
     ParameterError,
     detect_mean,
     detect_variance,
@@ -223,7 +227,7 @@ def test_every_call_matches_detect_on_the_prefix_including_replays(kind):
             step(state, float(v), params)
         before = state.pending
         _, status = step(state, float(prefix[-1]), params)
-        if before is not None and before.tested >= 3 and state.pending is not before:
+        if before is not None and len(before.values) >= 4 and state.pending is not before:
             replays += 1
             reopened += status.state == "candidate"
         if status.state == "confirmed":
@@ -264,3 +268,47 @@ def test_finalize_rejects_values_other_than_the_monitored_ones():
         finalize_variance(other, variance_state)
     with pytest.raises(DataError, match="position 1"):
         finalize_mean(np.full(80, 5.0), mean_state)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["mean", "variance"])
+def test_monitor_rejects_non_finite_observations_and_stays_usable(kind, bad):
+    """A bad value fed mid-candidate raises and changes nothing."""
+    rng = np.random.default_rng(3)
+    params = DetectionParams(p=0.5, l=8)
+    init, step = MONITORS[kind]
+    state = init(rng.standard_normal(params.l), params)
+    while state.pending is None or len(state.pending.values) < 3:
+        step(state, float(rng.standard_normal()), params)
+    twin = copy.deepcopy(state)
+    with pytest.raises(DataError, match=f"observation {bad!r} at position {len(state.raw) + 1}"):
+        step(state, bad, params)
+    assert state == twin
+    for v in (0.3, -2.5, 4.0, 0.1):
+        assert step(state, v, params)[1] == step(twin, v, params)[1]
+    assert state == twin
+
+
+@pytest.mark.parametrize("kind", ["mean", "variance"])
+def test_monitor_state_grows_only_by_the_fed_points_and_change_points(kind):
+    """Memory per point is one raw value; the window and a candidate stay within l."""
+    params = DetectionParams(p=0.5, l=10)
+    init, step = MONITORS[kind]
+
+    def fed(n):
+        values = np.random.default_rng(5).standard_normal(n)
+        state = init(values[: params.l], params)
+        for v in values[params.l :]:
+            step(state, float(v), params)
+            assert state.pending is None or len(state.pending.values) <= params.l
+            assert len(state.window) == params.l
+        return state
+
+    small, large = fed(2000), fed(4000)
+    grown = {
+        f.name
+        for f in fields(MonitorState)
+        if isinstance(getattr(small, f.name), list)
+        and len(getattr(large, f.name)) > len(getattr(small, f.name))
+    }
+    assert grown == {"raw", "change_points"}

@@ -50,6 +50,9 @@ def test_critical_variances_reject_nonpositive():
         critical_variances(0.0, DetectionParams())
     with pytest.raises(DataError):
         critical_variances(-1.0, DetectionParams())
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="finite and positive"):
+            critical_variances(bad, DetectionParams())
 
 
 # ---------------------------------------------------------------------------
