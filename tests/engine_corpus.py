@@ -14,10 +14,17 @@ The inputs cover white noise, planted mean and variance shifts, integer
 rounding, a 1e12 offset and constant stretches at l in {5, 20, 80} and
 p in {0.01, 0.05, 0.5}, plus the packaged fixture at every (l, p).
 
+A second corpus, `pipeline_corpus.json`, pins the correlation layer: every
+case is one seeded pair run through `run_srsd` and `step_skipping_mode`, and
+records the correlation change-points (provisional ones negated) and a crc32
+of the exact `result_to_json` text, or the raised error's message instead.
+The pairs carry planted correlation, mean and variance shifts, integer
+rounding and constant stretches at l in {5, 20} and p in {0.05, 0.5}.
+
     python tests/engine_corpus.py --freeze
 
-rewrites `engine_corpus.json` from the engine in `src/`; `test_engine_corpus.py`
-checks the engine against the frozen file.
+rewrites both files from the code in `src/`; `test_engine_corpus.py` checks
+the code against the frozen files.
 """
 from __future__ import annotations
 
@@ -30,11 +37,17 @@ from pathlib import Path
 import numpy as np
 
 CORPUS = Path(__file__).with_name("engine_corpus.json")
+PIPELINE_CORPUS = Path(__file__).with_name("pipeline_corpus.json")
 SERIES = 2000
 STREAM_EVERY = 4
 LS = (5, 20, 80)
 PS = (0.01, 0.05, 0.5)
 SHAPES = ("noise", "shift", "rounded", "offset", "constant")
+PAIRS = 400
+PAIR_LS = (5, 20)
+PAIR_PS = (0.05, 0.5)
+PAIR_SHAPES = ("correlation", "mean", "variance", "rounded", "constant")
+PIPELINE_MODES = ("run_srsd", "step_skipping_mode")
 
 
 def _hex(x: float | None) -> str:
@@ -159,13 +172,88 @@ def compute() -> list[dict]:
     return [run_case(meta, values) for meta, values in all_cases()]
 
 
-def load() -> list[dict]:
-    with open(CORPUS, encoding="utf-8") as fh:
+def make_pair(seed: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The pipeline case with this seed: its description and its two series."""
+    l, p = PAIR_LS[seed % 2], PAIR_PS[(seed // 2) % 2]
+    shape = PAIR_SHAPES[(seed // 4) % len(PAIR_SHAPES)]
+    rng = np.random.default_rng([20261018, 2, seed])
+    n = int(rng.integers(2 * l, 3 * l + 61))
+    a, b = (int(k) for k in rng.integers(1, n, size=2))
+    rho0, rho1 = rng.uniform(-0.9, 0.9, size=2)
+    rho = np.where(np.arange(n) < a, rho0, rho1) if shape == "correlation" else rho0
+    z = rng.standard_normal((2, n))
+    x, y = z[0], rho * z[0] + np.sqrt(1.0 - rho * rho) * z[1]
+    if shape == "mean":
+        x[a:] += rng.normal(0.0, 2.0)
+        y[b:] += rng.normal(0.0, 2.0)
+    elif shape == "variance":
+        x[a:] *= rng.uniform(0.3, 3.0)
+        y[b:] *= rng.uniform(0.3, 3.0)
+    elif shape == "rounded":
+        scale = rng.uniform(0.5, 3.0)
+        x, y = np.round(x * scale), np.round(y * scale)
+    elif shape == "constant":
+        stop = a + int(rng.integers(1, 2 * l + 1))
+        x[a:stop] = rng.normal(0.0, 1.0)
+        if rng.random() < 0.5:
+            y[a:stop] = rng.normal(0.0, 1.0)
+    return {"seed": seed, "shape": shape, "l": l, "p": p, "n": n}, x, y
+
+
+def record_pipeline(run, x: np.ndarray, y: np.ndarray, params) -> dict:
+    from srsd.cli import result_to_json
+
+    try:
+        res = run(x, y, params)
+        text = result_to_json(res)
+    except Exception as exc:  # the error is the recorded outcome
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    cps = res.correlation_change_points
+    return {
+        "cps": [-cp.index if cp.provisional else cp.index for cp in cps],
+        "crc": _crc([text]),
+    }
+
+
+def run_pair_case(meta: dict, x: np.ndarray, y: np.ndarray) -> dict:
+    import srsd
+
+    params = srsd.DetectionParams(p=meta["p"], l=meta["l"])
+    out = dict(meta)
+    for mode in PIPELINE_MODES:
+        out[mode] = record_pipeline(getattr(srsd, mode), x, y, params)
+    return out
+
+
+def all_pairs() -> list[tuple[dict, np.ndarray, np.ndarray]]:
+    return [make_pair(seed) for seed in range(PAIRS)]
+
+
+def compute_pipeline() -> list[dict]:
+    return [run_pair_case(meta, x, y) for meta, x, y in all_pairs()]
+
+
+def load(path: Path = CORPUS) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def describe(case: dict) -> str:
     return f"seed={case['seed']} l={case['l']} p={case['p']} kind={case['shape']} n={case['n']}"
+
+
+def pipeline_difference(frozen: dict, now: dict) -> str | None:
+    """Where a recomputed pipeline case departs from its frozen record, or None."""
+    for mode in PIPELINE_MODES:
+        a, b = frozen[mode], now[mode]
+        if a == b:
+            continue
+        if "error" in a or "error" in b:
+            return f"{mode}: frozen {a.get('error', 'a result')!r}, now {b.get('error', 'a result')!r}"
+        if a["cps"] != b["cps"]:
+            return f"{mode}: correlation change-points were {a['cps']}, now {b['cps']} (negative: provisional)"
+        return f"{mode}: same correlation change-points {a['cps']}, but the result JSON differs"
+    return None
 
 
 def first_difference(frozen: dict, now: dict) -> str | None:
@@ -200,17 +288,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--freeze", action="store_true", help=f"rewrite {CORPUS.name}")
     args = parser.parse_args(argv)
-    cases = compute()
-    if args.freeze:
-        with open(CORPUS, "w", encoding="utf-8") as fh:
-            fh.write("[\n" + ",\n".join(json.dumps(c, separators=(",", ":")) for c in cases) + "\n]\n")
-        print(f"froze {len(cases)} cases into {CORPUS}")
-        return 0
-    bad = [(f, c) for f, c in zip(load(), cases) if first_difference(f, c)]
-    for frozen, now in bad[:5]:
-        print(f"{describe(frozen)}: {first_difference(frozen, now)}")
-    print(f"{len(cases) - len(bad)} of {len(cases)} cases match")
-    return 1 if bad else 0
+    failed = False
+    for path, cases, difference in (
+        (CORPUS, compute(), first_difference),
+        (PIPELINE_CORPUS, compute_pipeline(), pipeline_difference),
+    ):
+        if args.freeze:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("[\n" + ",\n".join(json.dumps(c, separators=(",", ":")) for c in cases) + "\n]\n")
+            print(f"froze {len(cases)} cases into {path}")
+            continue
+        bad = [(f, c) for f, c in zip(load(path), cases) if difference(f, c)]
+        for frozen, now in bad[:5]:
+            print(f"{describe(frozen)}: {difference(frozen, now)}")
+        print(f"{len(cases) - len(bad)} of {len(cases)} cases of {path.name} match")
+        failed = failed or bool(bad)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
-"""The engine reproduces the frozen differential corpus bit for bit.
+"""The engine and the pipeline reproduce their frozen differential corpora bit for bit.
 
 `engine_corpus.json` holds the detectors' outputs on about 2 000 seeded
-series (see `engine_corpus.py`); regenerate it with
+series and `pipeline_corpus.json` the pipeline's result files on 400 seeded
+pairs (see `engine_corpus.py`); regenerate them with
 `python tests/engine_corpus.py --freeze` only when a change of the outputs is
 intended.
 """
@@ -16,4 +17,14 @@ def test_engine_reproduces_the_frozen_corpus():
     for record, (meta, values) in zip(frozen, cases):
         assert {k: record[k] for k in meta} == meta, "the corpus inputs changed"
         diff = engine_corpus.first_difference(record, engine_corpus.run_case(meta, values))
+        assert diff is None, f"{engine_corpus.describe(meta)}: {diff}"
+
+
+def test_pipeline_reproduces_the_frozen_corpus():
+    frozen = engine_corpus.load(engine_corpus.PIPELINE_CORPUS)
+    pairs = engine_corpus.all_pairs()
+    assert len(frozen) == len(pairs)
+    for record, (meta, x, y) in zip(frozen, pairs):
+        assert {k: record[k] for k in meta} == meta, "the corpus inputs changed"
+        diff = engine_corpus.pipeline_difference(record, engine_corpus.run_pair_case(meta, x, y))
         assert diff is None, f"{engine_corpus.describe(meta)}: {diff}"
