@@ -28,7 +28,7 @@ entry points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ from .core import (
     StepStatus,
     TimeSeries,
     as_series,
-    regimes_to_stepwise,
     validate_params,
 )
 from .stats import _pooled_t_p, _variance_ratio_p
@@ -52,8 +51,13 @@ from .stats import _pooled_t_p, _variance_ratio_p
 _STABLE = StepStatus(state="stable")
 
 
+def _stepwise(regimes: list[Regime]) -> np.ndarray:
+    """Each regime's statistic repeated over its span; the regimes partition the series."""
+    return np.repeat([r.value for r in regimes], [r.length for r in regimes])
+
+
 def _detrend(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
-    return values - regimes_to_stepwise(len(values), regimes)
+    return values - _stepwise(regimes)
 
 
 def _normalize(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
@@ -62,7 +66,7 @@ def _normalize(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
             raise DataError(
                 f"regime [{r.start}, {r.end}] has zero variance; normalization is undefined"
             )
-    return values / np.sqrt(regimes_to_stepwise(len(values), regimes))
+    return values / np.sqrt(_stepwise(regimes))
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,6 @@ class ShiftResult:
     normalized = property(lambda self: self.series, doc="Alias of `series`.")
     rsi = property(lambda self: self.trace, doc="Alias of `trace`.")
     rssi = property(lambda self: self.trace, doc="Alias of `trace`.")
-
-    @property
-    def stepwise(self) -> np.ndarray:
-        """Each regime's statistic repeated over its span."""
-        return regimes_to_stepwise(len(self.series), self.regimes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShiftResult):
@@ -223,31 +222,25 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
     confirmed change-points delimit regime spans, so the last span runs to
     the end of the series. The state itself is not modified.
     """
-    cps, pend = list(state.change_points), state.pending
-    if pend is not None:
-        cps.append(ChangePoint(pend.index, pend.csum / state.index_scale, provisional=True))
-    trace = np.zeros(len(ts))
-    for cp in cps:
-        trace[cp.index - 1] = cp.index_value
-    starts = [1] + [cp.index for cp in state.change_points]
-    spans = list(zip(starts, [s - 1 for s in starts[1:]] + [len(ts)]))
+    n, confirmed, pend = len(ts), state.change_points, state.pending
     scanned = ts.values * ts.values if kind.squared else ts.values
-    p_values = [
-        None
-        if e0 - s0 + 1 < 4 or e1 - s1 + 1 < 4
-        else kind.span_test(scanned[s0 - 1 : e0], scanned[s1 - 1 : e1])
-        for (s0, e0), (s1, e1) in zip(spans, spans[1:])
-    ]
-    regimes = [
-        Regime(s, e, kind.name, float(scanned[s - 1 : e].mean()), p_values[j - 1] if j else None)
-        for j, (s, e) in enumerate(spans)
-    ]
-    # Confirmed change-points delimit spans in order; a provisional tail
-    # candidate has no completed regime on its right, so its p-value stays None.
-    confirmed_p = iter(p_values)
-    change_points = [
-        replace(cp, p_value=None if cp.provisional else next(confirmed_p)) for cp in cps
-    ]
+    trace = np.zeros(n)
+    regimes: list[Regime] = []
+    change_points: list[ChangePoint] = []
+    for cp, e in zip([None, *confirmed], [c.index - 1 for c in confirmed] + [n]):
+        s, p = 1, None
+        if cp is not None:
+            s, prev = cp.index, regimes[-1]
+            if prev.length >= 4 and e - s + 1 >= 4:
+                p = kind.span_test(scanned[prev.start - 1 : prev.end], scanned[s - 1 : e])
+            change_points.append(ChangePoint(s, cp.index_value, p))
+            trace[s - 1] = cp.index_value
+        regimes.append(Regime(s, e, kind.name, float(scanned[s - 1 : e].mean()), p))
+    if pend is not None:
+        # No completed regime lies on its right, so its p-value stays None.
+        cp = ChangePoint(pend.index, pend.csum / state.index_scale, provisional=True)
+        change_points.append(cp)
+        trace[cp.index - 1] = cp.index_value
     series = TimeSeries(kind.output(ts.values, regimes), labels=ts.labels, name=ts.name)
     return ShiftResult(regimes, change_points, series, trace)
 

@@ -18,7 +18,8 @@ the full pipeline exists to prevent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -93,24 +94,26 @@ def _segment_r(x: np.ndarray, y: np.ndarray, start: int, end: int) -> float | No
     return _pearson(x[start - 1 : end], y[start - 1 : end])
 
 
-def _split_p_value(
-    x: np.ndarray, y: np.ndarray, index: int, left: int, right: int
-) -> float | None:
+# Pearson r of one call's two series over a (start, end) span.
+SpanR = Callable[[int, int], float | None]
+
+
+def _split_p_value(span_r: SpanR, index: int, left: int, right: int) -> float | None:
     """Fisher comparison of the correlations adjacent to a candidate split."""
     n_left = index - left
     n_right = right - index + 1
     if n_left < 4 or n_right < 4:
         return None
-    r_left = _segment_r(x, y, left, index - 1)
-    r_right = _segment_r(x, y, index, right)
+    r_left = span_r(left, index - 1)
+    r_right = span_r(index, right)
     if r_left is None or r_right is None or abs(r_left) >= 1.0 or abs(r_right) >= 1.0:
         return None
     return fisher_compare(r_left, n_left, r_right, n_right).p_value
 
 
 def _merge_candidates(
-    x: np.ndarray,
-    y: np.ndarray,
+    span_r: SpanR,
+    n: int,
     sum_cps: list[ChangePoint],
     diff_cps: list[ChangePoint],
     l: int,
@@ -125,7 +128,6 @@ def _merge_candidates(
     points on each side so the regime correlations stay defined; provisional
     candidates never split a regime, so the guard does not apply to them.
     """
-    n = len(x)
     tagged = sorted(
         [(cp.index, "sum", cp) for cp in sum_cps] + [(cp.index, "diff", cp) for cp in diff_cps]
     )
@@ -151,7 +153,7 @@ def _merge_candidates(
         next_boundary = clusters[c_idx + 1][0][0] - 1 if c_idx + 1 < len(clusters) else n
         scored = []
         for index, source, cp in cluster:
-            p = _split_p_value(x, y, index, last_boundary, next_boundary)
+            p = _split_p_value(span_r, index, last_boundary, next_boundary)
             if cp.provisional:
                 feasible = True
             else:
@@ -188,74 +190,44 @@ def _merge_candidates(
 
 
 def _correlation_regimes(
-    x: np.ndarray,
-    y: np.ndarray,
-    accepted: list[ChangePoint],
-    ci_confidence: float,
+    span_r: SpanR, n: int, accepted: list[ChangePoint]
 ) -> tuple[list[Regime], list[ChangePoint]]:
-    n = len(x)
+    """The regimes the accepted confirmed change-points delimit, with their tests.
+
+    Provisional candidates are reported behind the confirmed ones but do not
+    split the final regime (channel indices sort them after every confirmed
+    change-point by construction).
+    """
     confirmed = [cp for cp in accepted if not cp.provisional]
-    starts = [1] + [cp.index for cp in confirmed]
-    ends = [s - 1 for s in starts[1:]] + [n]
-    r_values: list[float] = []
-    for s, e in zip(starts, ends):
-        r = _segment_r(x, y, s, e)
+    regimes: list[Regime] = []
+    change_points: list[ChangePoint] = []
+    for cp, e in zip([None, *confirmed], [c.index - 1 for c in confirmed] + [n]):
+        s = 1 if cp is None else cp.index
+        r = span_r(s, e)
         if r is None:
             raise DataError(f"correlation is undefined on regime [{s}, {e}]")
-        r_values.append(r)
-    regimes: list[Regime] = []
-    confirmed_cps: list[ChangePoint] = []
-    for j, (s, e) in enumerate(zip(starts, ends)):
-        length = e - s + 1
-        r = r_values[j]
-        ci_low = ci_high = None
-        if length >= 4 and abs(r) < 1.0:
-            ci_low, ci_high = fisher_ci(r, length, ci_confidence)
-        shift_p = None
-        if j > 0:
-            shift_p = _split_p_value(x, y, s, starts[j - 1], e)
-            confirmed_cps.append(
-                ChangePoint(
-                    index=s,
-                    index_value=confirmed[j - 1].index_value,
-                    p_value=shift_p,
-                    provisional=False,
-                )
-            )
-        regimes.append(
-            Regime(
-                start=s,
-                end=e,
-                kind="correlation",
-                value=r,
-                shift_p_value=shift_p,
-                ci_low=ci_low,
-                ci_high=ci_high,
-            )
-        )
-    # Provisional candidates are reported behind the confirmed ones but do
-    # not split the final regime (channel indices sort them after every
-    # confirmed change-point by construction).
-    change_points = confirmed_cps + [
-        ChangePoint(index=cp.index, index_value=cp.index_value, p_value=None, provisional=True)
-        for cp in accepted
-        if cp.provisional
-    ]
-    return regimes, change_points
+        ci_low = ci_high = shift_p = None
+        if e - s + 1 >= 4 and abs(r) < 1.0:
+            ci_low, ci_high = fisher_ci(r, e - s + 1)
+        if cp is not None:
+            shift_p = _split_p_value(span_r, s, regimes[-1].start, e)
+            change_points.append(ChangePoint(s, cp.index_value, shift_p))
+        regimes.append(Regime(s, e, "correlation", r, shift_p, ci_low, ci_high))
+    return regimes, change_points + [cp for cp in accepted if cp.provisional]
 
 
 def detect_correlation(
     x: TimeSeries | Sequence[float],
     y: TimeSeries | Sequence[float],
     params: DetectionParams = DetectionParams(),
-    ci_confidence: float = 0.90,
 ) -> CorrelationResult:
     """Detect correlation shifts between two normalized series.
 
     Runs the variance detector on the sum and difference channels and merges
     their change-points. Inputs should be mean-adjusted and normalized (the
     output of the first two pipeline steps); feeding raw series reproduces
-    the artifacts that `run_srsd` removes.
+    the artifacts that `run_srsd` removes. Each correlation regime carries
+    its 90 % Fisher-z confidence interval (`fisher_ci` gives other levels).
     """
     validate_params(params)
     xs = as_series(x)
@@ -280,12 +252,12 @@ def detect_correlation(
         )
     sum_res = detect_variance(total, params)
     diff_res = detect_variance(diff, params)
+    # The merge and the regime statistics share one correlation per span.
+    span_r = cache(partial(_segment_r, xs.values, ys.values))
     records, accepted = _merge_candidates(
-        xs.values, ys.values, sum_res.change_points, diff_res.change_points, params.l
+        span_r, n, sum_res.change_points, diff_res.change_points, params.l
     )
-    regimes, change_points = _correlation_regimes(
-        xs.values, ys.values, accepted, ci_confidence
-    )
+    regimes, change_points = _correlation_regimes(span_r, n, accepted)
     return CorrelationResult(
         regimes=regimes,
         change_points=change_points,
@@ -343,7 +315,6 @@ def _run_pipeline(
     y: TimeSeries | Sequence[float],
     params: DetectionParams,
     corr_params: DetectionParams | None,
-    ci_confidence: float,
     skip: frozenset[str],
 ) -> SrsdResult:
     validate_params(params)
@@ -361,9 +332,7 @@ def _run_pipeline(
         ar1 = (est_x, est_y)
     mean_x, mean_y = (_adjust(s, "mean", params, skip) for s in (xs, ys))
     var_x, var_y = (_adjust(m.residuals, "variance", params, skip) for m in (mean_x, mean_y))
-    correlation = detect_correlation(
-        var_x.normalized, var_y.normalized, corr_params, ci_confidence
-    )
+    correlation = detect_correlation(var_x.normalized, var_y.normalized, corr_params)
     return SrsdResult(
         x=xs,
         y=ys,
@@ -382,7 +351,6 @@ def run_srsd(
     y: TimeSeries | Sequence[float],
     params: DetectionParams = DetectionParams(),
     corr_params: DetectionParams | None = None,
-    ci_confidence: float = 0.90,
 ) -> SrsdResult:
     """Run the full three-step pipeline on a pair of series.
 
@@ -390,7 +358,7 @@ def run_srsd(
     channel scan often benefits from a different p or l than the mean and
     variance steps); by default all steps share `params`.
     """
-    return _run_pipeline(x, y, params, corr_params, ci_confidence, frozenset())
+    return _run_pipeline(x, y, params, corr_params, frozenset())
 
 
 def step_skipping_mode(
@@ -399,7 +367,6 @@ def step_skipping_mode(
     params: DetectionParams = DetectionParams(),
     skip: Iterable[str] = ("mean", "variance"),
     corr_params: DetectionParams | None = None,
-    ci_confidence: float = 0.90,
 ) -> SrsdResult:
     """Run the pipeline with the named steps replaced by identity transforms.
 
@@ -412,4 +379,4 @@ def step_skipping_mode(
     bad = skip_set - {"mean", "variance"}
     if bad:
         raise ParameterError(f"unknown steps to skip: {sorted(bad)}")
-    return _run_pipeline(x, y, params, corr_params, ci_confidence, skip_set)
+    return _run_pipeline(x, y, params, corr_params, skip_set)

@@ -14,6 +14,7 @@ implementation changes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
@@ -66,6 +67,8 @@ class RegimeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+            raise DataError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DataError(f"n must be positive, got {self.n}")
         for field_name in ("correlation", "x_mean", "y_mean", "x_variance", "y_variance"):
@@ -76,10 +79,16 @@ class RegimeSpec:
         for start, rho in self.correlation:
             if not -1.0 <= rho <= 1.0:
                 raise DataError(f"correlation at {start} must lie in [-1, 1], got {rho}")
+        for field_name in ("x_mean", "y_mean"):
+            for start, mean in getattr(self, field_name):
+                if not math.isfinite(mean):
+                    raise DataError(f"{field_name} at {start} must be finite, got {mean}")
         for field_name in ("x_variance", "y_variance"):
             for start, var in getattr(self, field_name):
-                if var <= 0.0:
-                    raise DataError(f"{field_name} at {start} must be positive, got {var}")
+                if not 0.0 < var < math.inf:
+                    raise DataError(
+                        f"{field_name} at {start} must be positive and finite, got {var}"
+                    )
 
 
 def _expand(segments: Segments, n: int) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Three-step pipeline: channel construction, merging, and orchestration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srsd.pipeline
 from srsd import (
     DataError,
     DetectionParams,
     ParameterError,
     RegimeSpec,
+    canonical_spec,
     derive_seeds,
     detect_correlation,
     generate_pair,
@@ -168,6 +172,28 @@ def test_audit_completeness_property(seed):
     accepted = {c.index for c in res.candidates if c.accepted}
     for idx in confirmed:
         assert idx in accepted
+
+
+def test_one_call_correlates_each_span_once(canonical, monkeypatch):
+    """The merge and the regime statistics share one correlation per span."""
+    x, y, _ = canonical
+    spec = canonical_spec()
+    pairs = [(x, y)] + [generate_pair(replace(spec, seed=s)) for s in derive_seeds(20261018, 20)]
+    calls = []
+
+    def counting(x, y, start, end):
+        calls.append((start, end))
+        return segment_r(x, y, start, end)
+
+    segment_r = srsd.pipeline._segment_r
+    monkeypatch.setattr(srsd.pipeline, "_segment_r", counting)
+    for px, py in pairs:
+        var_x, var_y = run_srsd(px, py).variance_results
+        for a, b in ((px, py), (var_x.normalized, var_y.normalized)):
+            calls.clear()
+            detect_correlation(a, b, DetectionParams(p=0.05, l=20))
+            assert calls, "the call correlated no span"
+            assert len(calls) == len(set(calls)), sorted(calls)
 
 
 def test_candidate_records_are_immutable(canonical_result):

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -68,6 +69,76 @@ PUBLIC_NAMES = [
     "CANONICAL_SEED",
 ]
 
+# The parameter names of every public callable but the two error classes, which
+# take BaseException's. A removed keyword edits this map; a new one may not
+# appear unnoticed either.
+PUBLIC_PARAMETERS = {
+    "TimeSeries": ["values", "labels", "name"],
+    "DetectionParams": ["p", "l", "prewhiten", "m"],
+    "Regime": ["start", "end", "kind", "value", "shift_p_value", "ci_low", "ci_high"],
+    "ChangePoint": ["index", "index_value", "p_value", "provisional"],
+    "MonitorState": [
+        "kind",
+        "cap",
+        "threshold",
+        "index_scale",
+        "raw",
+        "window",
+        "last",
+        "pending",
+        "change_points",
+        "checked_params",
+    ],
+    "StepStatus": ["state", "candidate_index", "index_value", "change_point"],
+    "validate_params": ["params"],
+    "regimes_to_stepwise": ["series_length", "regimes"],
+    "student_t_quantile": ["prob", "df"],
+    "f_quantile": ["prob", "df1", "df2"],
+    "running_avg_variance": ["series", "l"],
+    "pearson_r": ["x", "y"],
+    "CorrelationComparison": ["r1", "n1", "r2", "n2", "z", "p_value"],
+    "fisher_compare": ["r1", "n1", "r2", "n2"],
+    "fisher_ci": ["r", "n", "confidence"],
+    "first_differences": ["series"],
+    "MeanShiftResult": ["regimes", "change_points", "series", "trace"],
+    "threshold_delta": ["params", "avg_var"],
+    "detect_mean": ["series", "params"],
+    "init_mean_monitor": ["history", "params", "avg_var"],
+    "monitor_mean": ["state", "new_value", "params"],
+    "finalize_mean": ["series", "state"],
+    "VarianceShiftResult": ["regimes", "change_points", "series", "trace"],
+    "critical_variances": ["current_variance", "params"],
+    "detect_variance": ["residuals", "params"],
+    "init_variance_monitor": ["history", "params"],
+    "monitor_variance": ["state", "new_value", "params"],
+    "finalize_variance": ["residuals", "state"],
+    "Ar1Estimate": ["alpha", "method", "m", "n_subsamples", "alpha_ols", "clamped"],
+    "estimate_ar1": ["series", "m", "method"],
+    "prewhiten": ["series", "alpha"],
+    "CandidateRecord": ["source", "index", "p_value", "accepted"],
+    "CorrelationResult": ["regimes", "change_points", "candidates", "sum_channel", "diff_channel"],
+    "SrsdResult": [
+        "x",
+        "y",
+        "params",
+        "corr_params",
+        "skipped",
+        "ar1",
+        "mean_results",
+        "variance_results",
+        "correlation",
+    ],
+    "sum_diff_channels": ["x", "y"],
+    "detect_correlation": ["x", "y", "params"],
+    "run_srsd": ["x", "y", "params", "corr_params"],
+    "step_skipping_mode": ["x", "y", "params", "skip", "corr_params"],
+    "RegimeSpec": ["n", "correlation", "x_mean", "y_mean", "x_variance", "y_variance", "seed"],
+    "generate_pair": ["spec"],
+    "derive_seeds": ["base_seed", "count"],
+    "canonical_spec": ["seed"],
+    "canonical_fixture": [],
+}
+
 
 def load_bench_patches():
     """The (module, attribute, span, counting) list of bench/run.py, imported from it."""
@@ -99,6 +170,15 @@ def test_every_public_name_imports(name):
 def test_public_surface_is_frozen():
     assert len(set(srsd.__all__)) == len(srsd.__all__)
     assert sorted(srsd.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_public_parameters_are_frozen():
+    parameters = {
+        name: list(inspect.signature(obj).parameters)
+        for name, obj in ((name, getattr(srsd, name)) for name in srsd.__all__)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    }
+    assert parameters == PUBLIC_PARAMETERS
 
 
 @pytest.mark.parametrize("module_name, attr", BENCH_PATCHES, ids="{0[0]}.{0[1]}".format)

@@ -1,5 +1,7 @@
 """Seeded bivariate generator with piecewise mean/variance/correlation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,14 @@ def test_generated_values_are_finite():
         {"correlation": ((1, 1.5),)},  # |rho| > 1
         {"x_variance": ((1, 0.0),)},  # sigma^2 must be positive
         {"correlation": ((1, 0.0), (60, 0.1))},  # start beyond n
+        {"n": "70"},  # n must be an int, not a string, float, bool or list
+        {"n": 70.5},
+        {"n": True},
+        {"n": [70]},
+        {"x_mean": ((1, math.nan),)},  # means must be finite
+        {"y_mean": ((1, 0.0), (20, -math.inf))},
+        {"x_variance": ((1, math.nan),)},  # variances must be finite too
+        {"y_variance": ((1, math.inf),)},
     ],
 )
 def test_invalid_specs_rejected(overrides):
@@ -127,7 +137,8 @@ def test_invalid_specs_rejected(overrides):
         seed=1,
     )
     kwargs.update(overrides)
-    with pytest.raises(DataError):
+    (field_name,) = overrides
+    with pytest.raises(DataError, match=rf"^{field_name}\b"):
         RegimeSpec(**kwargs)
 
 
