@@ -251,7 +251,10 @@ def pipeline_difference(frozen: dict, now: dict) -> str | None:
         if "error" in a or "error" in b:
             return f"{mode}: frozen {a.get('error', 'a result')!r}, now {b.get('error', 'a result')!r}"
         if a["cps"] != b["cps"]:
-            return f"{mode}: correlation change-points were {a['cps']}, now {b['cps']} (negative: provisional)"
+            return (
+                f"{mode}: correlation change-points were {a['cps']}, now {b['cps']} "
+                "(negative: provisional)"
+            )
         return f"{mode}: same correlation change-points {a['cps']}, but the result JSON differs"
     return None
 

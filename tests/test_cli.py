@@ -280,7 +280,8 @@ def test_generate_custom_spec(tmp_path):
 def test_generate_malformed_spec_is_a_data_error(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     out = tmp_path / "gen.csv"
-    for bad in ({"n": "70"}, {"n": 70.5}, {"n": True}, {"n": [70]}, {"x_mean": [[1, float("nan")]]}):
+    nan_mean = {"x_mean": [[1, float("nan")]]}
+    for bad in ({"n": "70"}, {"n": 70.5}, {"n": True}, {"n": [70]}, nan_mean):
         spec_path.write_text(json.dumps({"n": 70, "correlation": [[1, 0.2]], **bad}))
         assert run_cli("generate", "--spec", spec_path, "--output", out) == 2, bad
         assert "data error" in capsys.readouterr().err
