@@ -16,7 +16,6 @@ from .core import (
     StepStatus,
     TimeSeries,
     regimes_to_stepwise,
-    validate_params,
 )
 from .mean_shift import (
     MeanShiftResult,
@@ -75,7 +74,6 @@ __all__ = [
     "StepStatus",
     "ParameterError",
     "DataError",
-    "validate_params",
     "regimes_to_stepwise",
     "student_t_quantile",
     "f_quantile",

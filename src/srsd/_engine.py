@@ -43,17 +43,12 @@ from .core import (
     Regime,
     StepStatus,
     TimeSeries,
+    _stepwise,
     as_series,
-    validate_params,
 )
 from .stats import _pooled_t_p, _variance_ratio_p
 
 _STABLE = StepStatus(state="stable")
-
-
-def _stepwise(regimes: list[Regime]) -> np.ndarray:
-    """Each regime's statistic repeated over its span; the regimes partition the series."""
-    return np.repeat([r.value for r in regimes], [r.length for r in regimes])
 
 
 def _detrend(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
@@ -250,7 +245,6 @@ def monitor(
 ) -> tuple[MonitorState, StepStatus]:
     """Advance a monitor of this kind by one observation.
 
-    Each params object is checked once per state: DetectionParams is frozen.
     A non-finite observation raises DataError and leaves the state as it was.
     """
     if state.kind != kind.name:
@@ -258,11 +252,8 @@ def monitor(
     raw_value = float(new_value)
     if not math.isfinite(raw_value):
         raise DataError(f"observation {raw_value!r} at position {len(state.raw) + 1} is not finite")
-    if params is not state.checked_params:
-        validate_params(params)
-        if params.l != state.cap:
-            raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
-        state.checked_params = params
+    if params.l != state.cap:
+        raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
     state.raw.append(raw_value)
     value = raw_value * raw_value if kind.squared else raw_value
     pend = state.pending

@@ -46,7 +46,6 @@ from .core import (
     ParameterError,
     Regime,
     TimeSeries,
-    validate_params,
 )
 from .mean_shift import detect_mean
 from .pipeline import CandidateRecord, SrsdResult, run_srsd
@@ -282,9 +281,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> DetectionParams:
-    return validate_params(
-        DetectionParams(p=args.p, l=args.l, prewhiten=args.prewhiten, m=args.m)
-    )
+    return DetectionParams(p=args.p, l=args.l, prewhiten=args.prewhiten, m=args.m)
 
 
 def _corr_params_from_args(
@@ -292,11 +289,9 @@ def _corr_params_from_args(
 ) -> DetectionParams | None:
     if args.p_corr is None and args.l_corr is None:
         return None
-    return validate_params(
-        DetectionParams(
-            p=args.p_corr if args.p_corr is not None else params.p,
-            l=args.l_corr if args.l_corr is not None else params.l,
-        )
+    return DetectionParams(
+        p=args.p_corr if args.p_corr is not None else params.p,
+        l=args.l_corr if args.l_corr is not None else params.l,
     )
 
 
@@ -351,18 +346,10 @@ def _spec_from_file(path: str, seed: int) -> RegimeSpec:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or "n" not in doc:
         raise DataError(f"{path}: spec must be a JSON object with at least 'n'")
-    kwargs: dict[str, Any] = {"n": doc["n"], "seed": seed}
-    for key in ("correlation", "x_mean", "y_mean", "x_variance", "y_variance"):
-        if key in doc:
-            try:
-                kwargs[key] = tuple((int(s), float(v)) for s, v in doc[key])
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path}: {key} must be a list of [start, value] pairs"
-                ) from None
-    if "correlation" not in kwargs:
+    if "correlation" not in doc:
         raise DataError(f"{path}: spec requires a 'correlation' segment list")
-    return RegimeSpec(**kwargs)
+    keys = ("correlation", "x_mean", "y_mean", "x_variance", "y_variance")
+    return RegimeSpec(doc["n"], **{key: doc[key] for key in keys if key in doc}, seed=seed)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -6,7 +6,7 @@ ends, so a series of length n is partitioned as [1, c1-1], [c1, c2-1], ...,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ __all__ = [
     "PendingCandidate",
     "MonitorState",
     "StepStatus",
-    "validate_params",
     "regimes_to_stepwise",
 ]
 
@@ -113,6 +112,8 @@ class DetectionParams:
     p is the target significance level of a single shift decision, l is the
     cut-off length (minimum regime scale the detectors are tuned to), and the
     prewhitening fields control optional AR(1) filtering of the inputs.
+    Construction, `dataclasses.replace` included, raises ParameterError for
+    values out of range, so every params object a detector sees is valid.
     """
 
     p: float = 0.05
@@ -120,29 +121,26 @@ class DetectionParams:
     prewhiten: PrewhitenMethod = "none"
     m: int | None = None
 
-
-def validate_params(params: DetectionParams) -> DetectionParams:
-    """Check parameter invariants; returns the params unchanged if valid."""
-    if not isinstance(params.p, (int, float)) or not (0.0 < float(params.p) < 1.0):
-        raise ParameterError(f"p must lie strictly between 0 and 1, got {params.p!r}")
-    if not isinstance(params.l, (int, np.integer)) or isinstance(params.l, bool):
-        raise ParameterError(f"l must be an integer, got {params.l!r}")
-    if params.l < 3:
-        raise ParameterError(f"l must be at least 3, got {params.l}")
-    if params.prewhiten not in ("none", "mpk", "ip4"):
-        raise ParameterError(
-            f"prewhiten must be one of 'none', 'mpk', 'ip4', got {params.prewhiten!r}"
-        )
-    if params.m is not None:
-        if not isinstance(params.m, (int, np.integer)) or isinstance(params.m, bool):
-            raise ParameterError(f"m must be an integer, got {params.m!r}")
-        if not (5 <= params.m < params.l):
+    def __post_init__(self):
+        if not isinstance(self.p, (int, float)) or not (0.0 < float(self.p) < 1.0):
+            raise ParameterError(f"p must lie strictly between 0 and 1, got {self.p!r}")
+        if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
+            raise ParameterError(f"l must be an integer, got {self.l!r}")
+        if self.l < 3:
+            raise ParameterError(f"l must be at least 3, got {self.l}")
+        if self.prewhiten not in ("none", "mpk", "ip4"):
             raise ParameterError(
-                f"m must satisfy 5 <= m < l (l={params.l}), got {params.m}"
+                f"prewhiten must be one of 'none', 'mpk', 'ip4', got {self.prewhiten!r}"
             )
-    elif params.prewhiten != "none":
-        raise ParameterError("m must be set when prewhiten is enabled")
-    return params
+        if self.m is not None:
+            if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool):
+                raise ParameterError(f"m must be an integer, got {self.m!r}")
+            if not (5 <= self.m < self.l):
+                raise ParameterError(
+                    f"m must satisfy 5 <= m < l (l={self.l}), got {self.m}"
+                )
+        elif self.prewhiten != "none":
+            raise ParameterError("m must be set when prewhiten is enabled")
 
 
 @dataclass(frozen=True)
@@ -214,8 +212,7 @@ class MonitorState:
     newest one's index is len(raw). window holds the scanned values of the
     open regime's newest cap members, whose mean is its estimate, and last
     is the index of the newest of them. Results derive the shift-index trace
-    from change_points and pending. checked_params is the last params object
-    a monitor call accepted for this state.
+    from change_points and pending.
     """
 
     kind: Literal["mean", "variance"]
@@ -227,7 +224,6 @@ class MonitorState:
     last: int
     pending: PendingCandidate | None
     change_points: list[ChangePoint]
-    checked_params: DetectionParams | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -262,14 +258,16 @@ def _check_partition(series_length: int, regimes: Sequence[Regime]) -> list[Regi
     return ordered
 
 
+def _stepwise(regimes: Sequence[Regime]) -> np.ndarray:
+    """Each regime's statistic repeated over its span; the regimes partition the series."""
+    values = np.array([r.value for r in regimes], dtype=float)
+    return np.repeat(values, [r.length for r in regimes])
+
+
 def regimes_to_stepwise(series_length: int, regimes: Sequence[Regime]) -> np.ndarray:
     """Expand a regime partition into a stepwise series of regime values.
 
     The regimes must exactly partition [1, series_length]; gaps and overlaps
     raise DataError.
     """
-    ordered = _check_partition(series_length, regimes)
-    out = np.empty(series_length, dtype=float)
-    for reg in ordered:
-        out[reg.start - 1 : reg.end] = reg.value
-    return out
+    return _stepwise(_check_partition(series_length, regimes))

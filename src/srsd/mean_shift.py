@@ -24,7 +24,6 @@ from .core import (
     StepStatus,
     TimeSeries,
     as_series,
-    validate_params,
 )
 from .stats import running_avg_variance, student_t_quantile
 
@@ -46,7 +45,6 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     quantile at level p with 2l - 2 degrees of freedom and avg_var is the
     average variance of running l-point windows.
     """
-    validate_params(params)
     if not 0.0 <= avg_var < math.inf:  # written so that a NaN avg_var fails too
         raise ParameterError(f"avg_var must be finite and non-negative, got {avg_var!r}")
     t = student_t_quantile(1.0 - params.p / 2.0, 2 * params.l - 2)
@@ -76,7 +74,6 @@ def init_mean_monitor(
     avg_var is the pooled running-window variance used to calibrate the
     detection threshold; by default it is computed from the supplied history.
     """
-    validate_params(params)
     ts = as_series(history)
     if len(ts) < params.l:
         raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")

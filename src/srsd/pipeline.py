@@ -33,7 +33,6 @@ from .core import (
     RegimeKind,
     TimeSeries,
     as_series,
-    validate_params,
 )
 from .mean_shift import detect_mean
 from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
@@ -229,7 +228,6 @@ def detect_correlation(
     the artifacts that `run_srsd` removes. Each correlation regime carries
     its 90 % Fisher-z confidence interval (`fisher_ci` gives other levels).
     """
-    validate_params(params)
     xs = as_series(x)
     ys = as_series(y)
     total, diff = sum_diff_channels(xs, ys)
@@ -317,8 +315,7 @@ def _run_pipeline(
     corr_params: DetectionParams | None,
     skip: frozenset[str],
 ) -> SrsdResult:
-    validate_params(params)
-    corr_params = params if corr_params is None else validate_params(corr_params)
+    corr_params = params if corr_params is None else corr_params
     xs = as_series(x, name="x")
     ys = as_series(y, name="y")
     if len(xs) != len(ys):

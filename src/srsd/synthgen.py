@@ -39,7 +39,18 @@ CANONICAL_SEED = 4580
 
 
 def _normalize_segments(segments: Sequence[tuple[int, float]], what: str) -> Segments:
-    segs = tuple((int(s), float(v)) for s, v in segments)
+    if not isinstance(segments, (tuple, list)):
+        raise DataError(f"{what}: segments must be a sequence of (start, value) pairs")
+    segs = []
+    for item in segments:
+        if not isinstance(item, (tuple, list)) or len(item) != 2:
+            raise DataError(f"{what}: segment {item!r} is not a (start, value) pair")
+        start, value = item
+        if not isinstance(start, (int, np.integer)) or isinstance(start, bool):
+            raise DataError(f"{what}: segment start must be an integer, got {start!r}")
+        if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+            raise DataError(f"{what}: segment value must be a number, got {value!r}")
+        segs.append((int(start), float(value)))
     if not segs:
         raise DataError(f"{what}: at least one segment is required")
     if segs[0][0] != 1:
@@ -47,7 +58,7 @@ def _normalize_segments(segments: Sequence[tuple[int, float]], what: str) -> Seg
     starts = [s for s, _ in segs]
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise DataError(f"{what}: segment starts must be strictly increasing")
-    return segs
+    return tuple(segs)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .core import (
     StepStatus,
     TimeSeries,
     as_series,
-    validate_params,
 )
 from .stats import f_quantile
 
@@ -49,7 +48,6 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     The bracket is (v * F, v / F) with F the two-tailed F quantile at level p
     with (l - 1, l - 1) degrees of freedom.
     """
-    validate_params(params)
     if not 0.0 < current_variance < math.inf:  # written so that a NaN fails too
         raise DataError(f"current variance must be finite and positive, got {current_variance!r}")
     f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
@@ -76,7 +74,6 @@ def init_variance_monitor(
     history: TimeSeries | Sequence[float], params: DetectionParams = DetectionParams()
 ) -> MonitorState:
     """Initialize streaming variance monitoring from at least l residuals."""
-    validate_params(params)
     ts = as_series(history)
     if len(ts) < params.l:
         raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")

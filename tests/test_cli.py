@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from srsd import DataError, DetectionParams, run_srsd
+from srsd import DataError, DetectionParams, ParameterError, run_srsd
 from srsd.cli import main, parse_csv, result_from_json, result_to_json
 
 FIXTURE_HEADER = "index,x,y"
@@ -140,6 +140,14 @@ def test_json_round_trip_with_prewhitening(canonical):
     expected = run_srsd(x, y, DetectionParams(p=0.05, l=20, prewhiten="ip4", m=10))
     rebuilt = result_from_json(result_to_json(expected))
     assert rebuilt == expected
+
+
+def test_json_rejects_invalid_params(canonical):
+    x, y, _ = canonical
+    obj = json.loads(result_to_json(run_srsd(x, y)))
+    obj["params"]["p"] = 1.5
+    with pytest.raises(ParameterError, match="p must lie strictly between 0 and 1"):
+        result_from_json(json.dumps(obj))
 
 
 def test_json_rejects_unknown_schema(canonical):
@@ -281,7 +289,9 @@ def test_generate_malformed_spec_is_a_data_error(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     out = tmp_path / "gen.csv"
     nan_mean = {"x_mean": [[1, float("nan")]]}
-    for bad in ({"n": "70"}, {"n": 70.5}, {"n": True}, {"n": [70]}, nan_mean):
+    fractional_start = {"correlation": [[1, 0.2], [20.9, 0.5]]}  # starts are not truncated
+    bad_n = ({"n": "70"}, {"n": 70.5}, {"n": True}, {"n": [70]})
+    for bad in (*bad_n, nan_mean, fractional_start):
         spec_path.write_text(json.dumps({"n": 70, "correlation": [[1, 0.2]], **bad}))
         assert run_cli("generate", "--spec", spec_path, "--output", out) == 2, bad
         assert "data error" in capsys.readouterr().err

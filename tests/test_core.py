@@ -1,5 +1,8 @@
 """Core value types, parameter validation, and partition invariants."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,6 @@ from srsd import (
     TimeSeries,
     detect_mean,
     regimes_to_stepwise,
-    validate_params,
 )
 
 
@@ -66,7 +68,7 @@ def test_time_series_length():
 
 
 def test_default_params_are_valid():
-    p = validate_params(DetectionParams())
+    p = DetectionParams()
     assert p.p == 0.05 and p.l == 20 and p.prewhiten == "none"
 
 
@@ -81,20 +83,29 @@ def test_default_params_are_valid():
         {"prewhiten": "mpk", "m": 4},
         {"prewhiten": "ip4", "m": 25},  # m >= l
         {"prewhiten": "weird", "m": 10},
+        {"l": 20.0},  # l and m must be integers, not floats or bools
+        {"l": True},
+        {"p": math.nan},
+        {"m": True},
     ],
 )
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ParameterError):
-        validate_params(DetectionParams(**kwargs))
+        DetectionParams(**kwargs)
+
+
+def test_replace_checks_the_new_params():
+    with pytest.raises(ParameterError, match="l must be at least 3"):
+        dataclasses.replace(DetectionParams(), l=2)
 
 
 def test_m_without_prewhitening_is_allowed():
-    validate_params(DetectionParams(m=10))
+    DetectionParams(m=10)
 
 
 def test_prewhitening_m_bounds():
-    validate_params(DetectionParams(prewhiten="mpk", m=5))
-    validate_params(DetectionParams(prewhiten="ip4", m=19))
+    DetectionParams(prewhiten="mpk", m=5)
+    DetectionParams(prewhiten="ip4", m=19)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +117,14 @@ def test_regime_length_is_inclusive():
 
 
 def test_regimes_to_stepwise_builds_piecewise_constant():
-    regimes = [
-        Regime(start=1, end=3, kind="mean", value=2.0),
-        Regime(start=4, end=6, kind="mean", value=-1.0),
-    ]
-    out = regimes_to_stepwise(6, regimes)
-    assert out.tolist() == [2.0, 2.0, 2.0, -1.0, -1.0, -1.0]
+    for first, second in ((2.0, -1.0), (2, -1)):  # integer values still give floats
+        regimes = [
+            Regime(start=1, end=3, kind="mean", value=first),
+            Regime(start=4, end=6, kind="mean", value=second),
+        ]
+        out = regimes_to_stepwise(6, regimes)
+        assert out.dtype == np.float64
+        assert out.tolist() == [2.0, 2.0, 2.0, -1.0, -1.0, -1.0]
 
 
 def test_regimes_to_stepwise_rejects_gaps():

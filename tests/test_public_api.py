@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "StepStatus",
     "ParameterError",
     "DataError",
-    "validate_params",
     "regimes_to_stepwise",
     "student_t_quantile",
     "f_quantile",
@@ -87,10 +86,8 @@ PUBLIC_PARAMETERS = {
         "last",
         "pending",
         "change_points",
-        "checked_params",
     ],
     "StepStatus": ["state", "candidate_index", "index_value", "change_point"],
-    "validate_params": ["params"],
     "regimes_to_stepwise": ["series_length", "regimes"],
     "student_t_quantile": ["prob", "df"],
     "f_quantile": ["prob", "df1", "df2"],

@@ -124,6 +124,11 @@ def test_generated_values_are_finite():
         {"y_mean": ((1, 0.0), (20, -math.inf))},
         {"x_variance": ((1, math.nan),)},  # variances must be finite too
         {"y_variance": ((1, math.inf),)},
+        {"correlation": ((1, 0.2), (20.9, 0.5))},  # starts are integers, not truncated
+        {"correlation": ((1, 0.2), ("20", 0.5))},
+        {"x_mean": ((True, 0.5),)},
+        {"y_mean": ((1, "0.2"),)},  # values are numbers, not strings
+        {"x_variance": ((1,),)},  # each segment is a (start, value) pair
     ],
 )
 def test_invalid_specs_rejected(overrides):
