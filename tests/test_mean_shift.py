@@ -1,5 +1,7 @@
 """Sequential mean-shift detector: thresholds, detection, invariances."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,15 @@ def test_fixture_mean_shifts(canonical):
     res_y = detect_mean(y)
     assert tuple(c.index for c in res_x.change_points if not c.provisional) == expected["x_mean"]
     assert tuple(c.index for c in res_y.change_points if not c.provisional) == expected["y_mean"]
+
+
+def test_constant_regimes_leave_the_span_test_undefined():
+    """Two constant regimes pool to zero variance, so the shift's t-test has no p-value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = detect_mean([0.0] * 30 + [5.0] * 30, DetectionParams(l=20))
+    assert [(c.index, c.p_value, c.provisional) for c in res.change_points] == [(31, None, False)]
+    assert [r.shift_p_value for r in res.regimes] == [None, None]
 
 
 def test_short_series_rejected():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import srsd.pipeline
 from srsd import (
+    ChangePoint,
     DataError,
     DetectionParams,
     ParameterError,
@@ -194,6 +195,96 @@ def test_one_call_correlates_each_span_once(canonical, monkeypatch):
             detect_correlation(a, b, DetectionParams(p=0.05, l=20))
             assert calls, "the call correlated no span"
             assert len(calls) == len(set(calls)), sorted(calls)
+
+
+def step_r(split):
+    """A span correlation of a pair whose correlation steps from -0.6 to 0.6 at split."""
+
+    def span_r(start, end):
+        below = max(0, min(end, split - 1) - start + 1)
+        return 0.6 * (end - start + 1 - 2 * below) / (end - start + 1)
+
+    return span_r
+
+
+CP = ChangePoint
+
+
+# Each row: the sum and diff change-points, the span correlation, the expected
+# audit rows as (source, index, p defined, accepted) and the accepted
+# change-points as (channel, position in that channel's list), on n = 60, l = 20.
+MERGE_CASES = {
+    "same-index": (
+        [CP(31, 3.0)],
+        [CP(31, -2.0)],
+        step_r(31),
+        [("diff", 31, True, True), ("sum", 31, True, True)],
+        [("sum", 0)],
+    ),
+    "competing-pair-later-index-has-lower-p": (
+        [CP(28, 2.0)],
+        [CP(33, -2.0)],
+        step_r(33),
+        [("sum", 28, True, False), ("diff", 33, True, True)],
+        [("diff", 0)],
+    ),
+    "competing-pair-earlier-index-has-lower-p": (
+        [CP(28, 2.0)],
+        [CP(33, -2.0)],
+        step_r(28),
+        [("sum", 28, True, True), ("diff", 33, True, False)],
+        [("sum", 0)],
+    ),
+    "pair-beyond-half-l-is-two-clusters": (
+        [CP(20, 2.0)],
+        [CP(45, -2.0)],
+        step_r(20),
+        [("sum", 20, True, True), ("diff", 45, True, True)],
+        [("sum", 0), ("diff", 0)],
+    ),
+    "paired-candidate-is-not-paired-again": (
+        [CP(20, 2.0), CP(28, 2.0)],
+        [CP(25, -2.0)],
+        step_r(25),
+        [("sum", 20, True, True), ("diff", 25, False, False), ("sum", 28, True, True)],
+        [("sum", 0), ("sum", 1)],
+    ),
+    "confirmed-at-2-and-at-n-are-infeasible": (
+        [CP(2, 2.0)],
+        [CP(60, -2.0)],
+        step_r(30),
+        [("sum", 2, False, False), ("diff", 60, False, False)],
+        [],
+    ),
+    "provisional-at-n-is-feasible": (
+        [],
+        [CP(60, -2.0, provisional=True)],
+        step_r(30),
+        [("diff", 60, False, True)],
+        [("diff", 0)],
+    ),
+    "competing-pair-with-undefined-p-values": (
+        [CP(30, 2.0)],
+        [CP(25, -2.0)],
+        lambda start, end: None,
+        [("diff", 25, False, True), ("sum", 30, False, False)],
+        [("diff", 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "sum_cps, diff_cps, span_r, rows, accepted",
+    MERGE_CASES.values(),
+    ids=MERGE_CASES.keys(),
+)
+def test_merge_rules(sum_cps, diff_cps, span_r, rows, accepted):
+    records, merged = srsd.pipeline._merge_candidates(span_r, 60, sum_cps, diff_cps, 20)
+    got = [(c.source, c.index, c.p_value is not None, c.accepted) for c in records]
+    assert got == rows
+    channels = {"sum": sum_cps, "diff": diff_cps}
+    assert len(merged) == len(accepted)
+    assert all(cp is channels[c][k] for cp, (c, k) in zip(merged, accepted))
 
 
 def test_candidate_records_are_immutable(canonical_result):
