@@ -28,7 +28,7 @@ entry points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -73,7 +73,7 @@ class Kind:
     multiplicative: the critical bounds are estimate / F and estimate * F
         instead of estimate - delta and estimate + delta.
     span_test: p-value of the shift between two adjacent regimes, given the
-        scanned values of each.
+        scanned values of each; both hold at least 4 points.
     output: the input series adjusted by the regime statistics.
     series_name, trace_name: what results, files and traces call the output
         series and the shift-index trace.
@@ -93,35 +93,32 @@ VARIANCE = Kind("variance", True, True, _variance_ratio_p, _normalize, "normaliz
 KINDS = {kind.name: kind for kind in (MEAN, VARIANCE)}
 
 
-@dataclass(eq=False)
+@dataclass
 class ShiftResult:
     """Regimes, change-points, the adjusted series and the shift-index trace.
 
     For the mean detector `series` is the input minus the stepwise trend
     (also readable as `residuals`) and `trace` is the RSI (`rsi`); for the
     variance detector `series` is the input divided by each regime's standard
-    deviation (`normalized`) and `trace` is the RSSI (`rssi`).
+    deviation (`normalized`) and `trace` is the RSSI (`rssi`). The trace is
+    computed from the change-points: each one's index value at its index,
+    provisional ones included, and zero elsewhere.
     """
 
     regimes: list[Regime]
     change_points: list[ChangePoint]
     series: TimeSeries
-    trace: np.ndarray
+    trace: np.ndarray = field(init=False, compare=False)
 
     residuals = property(lambda self: self.series, doc="Alias of `series`.")
     normalized = property(lambda self: self.series, doc="Alias of `series`.")
     rsi = property(lambda self: self.trace, doc="Alias of `trace`.")
     rssi = property(lambda self: self.trace, doc="Alias of `trace`.")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShiftResult):
-            return NotImplemented
-        return (
-            self.regimes == other.regimes
-            and self.change_points == other.change_points
-            and self.series == other.series
-            and np.array_equal(self.trace, other.trace)
-        )
+    def __post_init__(self):
+        self.trace = np.zeros(len(self.series))
+        for cp in self.change_points:
+            self.trace[cp.index - 1] = cp.index_value
 
 
 def init_state(
@@ -219,7 +216,6 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
     """
     n, confirmed, pend = len(ts), state.change_points, state.pending
     scanned = ts.values * ts.values if kind.squared else ts.values
-    trace = np.zeros(n)
     regimes: list[Regime] = []
     change_points: list[ChangePoint] = []
     for cp, e in zip([None, *confirmed], [c.index - 1 for c in confirmed] + [n]):
@@ -229,15 +225,13 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
             if prev.length >= 4 and e - s + 1 >= 4:
                 p = kind.span_test(scanned[prev.start - 1 : prev.end], scanned[s - 1 : e])
             change_points.append(ChangePoint(s, cp.index_value, p))
-            trace[s - 1] = cp.index_value
         regimes.append(Regime(s, e, kind.name, float(scanned[s - 1 : e].mean()), p))
     if pend is not None:
         # No completed regime lies on its right, so its p-value stays None.
-        cp = ChangePoint(pend.index, pend.csum / state.index_scale, provisional=True)
-        change_points.append(cp)
-        trace[cp.index - 1] = cp.index_value
+        index_value = pend.csum / state.index_scale
+        change_points.append(ChangePoint(pend.index, index_value, provisional=True))
     series = TimeSeries(kind.output(ts.values, regimes), labels=ts.labels, name=ts.name)
-    return ShiftResult(regimes, change_points, series, trace)
+    return ShiftResult(regimes, change_points, series)
 
 
 def monitor(

@@ -170,9 +170,8 @@ def _from_obj(tp: Any, obj: Any) -> Any:
     if is_dataclass(tp):
         keys = _shift_keys(obj["regimes"][0]["kind"]) if tp is ShiftResult else {}
         types = _field_types(tp)
-        return tp(
-            **{f.name: _from_obj(types[f.name], obj[keys.get(f.name, f.name)]) for f in fields(tp)}
-        )
+        names = [f.name for f in fields(tp) if f.init]  # a derived field is not passed
+        return tp(**{name: _from_obj(types[name], obj[keys.get(name, name)]) for name in names})
     return obj
 
 
@@ -349,6 +348,9 @@ def _spec_from_file(path: str, seed: int) -> RegimeSpec:
     if "correlation" not in doc:
         raise DataError(f"{path}: spec requires a 'correlation' segment list")
     keys = ("correlation", "x_mean", "y_mean", "x_variance", "y_variance")
+    unknown = sorted(set(doc) - {"n", *keys})
+    if unknown:
+        raise DataError(f"{path}: unknown spec keys {unknown}; known: n, {', '.join(keys)}")
     return RegimeSpec(doc["n"], **{key: doc[key] for key in keys if key in doc}, seed=seed)
 
 

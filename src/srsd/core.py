@@ -7,6 +7,7 @@ ends, so a series of length n is partitioned as [1, c1-1], [c1, c2-1], ...,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Literal, Sequence
 
 import numpy as np
@@ -122,9 +123,9 @@ class DetectionParams:
     m: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, float)) or not (0.0 < float(self.p) < 1.0):
+        if isinstance(self.p, bool) or not isinstance(self.p, Real) or not 0.0 < self.p < 1.0:
             raise ParameterError(f"p must lie strictly between 0 and 1, got {self.p!r}")
-        if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
+        if not isinstance(self.l, Integral) or isinstance(self.l, bool):
             raise ParameterError(f"l must be an integer, got {self.l!r}")
         if self.l < 3:
             raise ParameterError(f"l must be at least 3, got {self.l}")
@@ -133,7 +134,7 @@ class DetectionParams:
                 f"prewhiten must be one of 'none', 'mpk', 'ip4', got {self.prewhiten!r}"
             )
         if self.m is not None:
-            if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool):
+            if not isinstance(self.m, Integral) or isinstance(self.m, bool):
                 raise ParameterError(f"m must be an integer, got {self.m!r}")
             if not (5 <= self.m < self.l):
                 raise ParameterError(
@@ -141,6 +142,10 @@ class DetectionParams:
                 )
         elif self.prewhiten != "none":
             raise ParameterError("m must be set when prewhiten is enabled")
+        # Plain Python numbers, so that numpy scalars serialize and print like literals.
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "m", None if self.m is None else int(self.m))
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,6 @@ class CorrelationResult:
 
 def _segment_r(x: np.ndarray, y: np.ndarray, start: int, end: int) -> float | None:
     """Pearson r over the 1-based inclusive span, None when undefined."""
-    if end - start + 1 < 2:
-        return None
     return _pearson(x[start - 1 : end], y[start - 1 : end])
 
 
@@ -119,72 +117,44 @@ def _merge_candidates(
 ) -> tuple[list[CandidateRecord], list[ChangePoint]]:
     """Resolve the two channels' change-points into one accepted list.
 
-    Identical indices are accepted once. A sum and a diff candidate within
-    l/2 of each other compete: each is scored by the Fisher p-value of the
-    correlation contrast at its split, and the lower p-value wins (an
-    undefined score loses to a defined one; two undefined scores go to the
-    earlier index). Any accepted confirmed split must leave at least two
-    points on each side so the regime correlations stay defined; provisional
-    candidates never split a regime, so the guard does not apply to them.
+    A candidate pairs with the previous one when that one is still alone, comes
+    from the other channel and lies within l/2. A cluster's winner is its
+    feasible candidate whose split has the lowest Fisher p-value of the
+    correlation contrast (undefined p last, then the earlier index); the same
+    index from both channels is accepted once, as the stronger shift. A
+    confirmed split is feasible when it leaves at least two points on each
+    side, so the regime correlations stay defined; a provisional one always is.
     """
-    tagged = sorted(
-        [(cp.index, "sum", cp) for cp in sum_cps] + [(cp.index, "diff", cp) for cp in diff_cps]
-    )
-    clusters: list[list[tuple[int, str, ChangePoint]]] = []
-    i = 0
-    while i < len(tagged):
-        cluster = [tagged[i]]
-        if (
-            i + 1 < len(tagged)
-            and tagged[i + 1][1] != tagged[i][1]
-            and tagged[i + 1][0] - tagged[i][0] <= l / 2
-        ):
-            cluster.append(tagged[i + 1])
-            i += 2
-        else:
-            i += 1
-        clusters.append(cluster)
-
+    tagged = [(c.index, "sum", c) for c in sum_cps] + [(c.index, "diff", c) for c in diff_cps]
     records: list[CandidateRecord] = []
     accepted: list[ChangePoint] = []
+    cluster: list[tuple[str, ChangePoint]] = []
     last_boundary = 1
-    for c_idx, cluster in enumerate(clusters):
-        next_boundary = clusters[c_idx + 1][0][0] - 1 if c_idx + 1 < len(clusters) else n
-        scored = []
-        for index, source, cp in cluster:
-            p = _split_p_value(span_r, index, last_boundary, next_boundary)
-            if cp.provisional:
-                feasible = True
-            else:
-                feasible = index - last_boundary >= 2 and n - index + 1 >= 2
-            scored.append((index, source, cp, p, feasible))
-        winner = None
-        if len(scored) == 2 and scored[0][0] == scored[1][0]:
-            # Same index from both channels: one change-point, two audit rows.
-            index, _, cp_a, p, feasible = scored[0]
-            cp_b = scored[1][2]
-            if feasible:
-                strongest = cp_a if abs(cp_a.index_value) >= abs(cp_b.index_value) else cp_b
-                winner = (index, strongest, p)
-            for index, source, cp, p, feas in scored:
-                records.append(CandidateRecord(source, index, p, feas))
-        else:
-            feasible_scored = [s for s in scored if s[4]]
-            if feasible_scored:
-                defined = [s for s in feasible_scored if s[3] is not None]
-                if defined:
-                    best = min(defined, key=lambda s: (s[3], s[0]))
-                else:
-                    best = min(feasible_scored, key=lambda s: s[0])
-                winner = (best[0], best[2], best[3])
-            for index, source, cp, p, feas in scored:
-                is_winner = winner is not None and index == winner[0] and cp is winner[1]
-                records.append(CandidateRecord(source, index, p, is_winner))
+    # A candidate that does not join the open cluster closes it: the cluster's
+    # span ends just before the candidate. A sentinel closes the last cluster.
+    for index, source, cp in [*sorted(tagged), (n + 1, "", None)]:
+        prev = cluster[0] if len(cluster) == 1 else None
+        if cp is not None and prev and prev[0] != source and index - prev[1].index <= l / 2:
+            cluster.append((source, cp))
+            continue
+        p = {s: _split_p_value(span_r, c.index, last_boundary, index - 1) for s, c in cluster}
+        ok = {s: c.provisional or c.index - last_boundary >= 2 and c.index < n for s, c in cluster}
+        winner = min(
+            ((p[s] is None, p[s], c.index, c) for s, c in cluster if ok[s]),
+            key=lambda t: t[:3],
+            default=(None,),
+        )[-1]
+        same = len(cluster) == 2 and cluster[0][1].index == cluster[1][1].index
+        if same and winner is not None:
+            # One change-point, two audit rows that both say whether it is feasible.
+            winner = max((c for _, c in cluster), key=lambda c: abs(c.index_value))
+        for s, c in cluster:
+            records.append(CandidateRecord(s, c.index, p[s], ok[s] if same else c is winner))
         if winner is not None:
-            index, cp, p = winner
-            accepted.append(cp)
-            if not cp.provisional:
-                last_boundary = index
+            accepted.append(winner)
+            if not winner.provisional:
+                last_boundary = winner.index
+        cluster = [(source, cp)]
     return records, accepted
 
 
@@ -305,7 +275,7 @@ def _adjust(
         return (detect_mean if kind == "mean" else detect_variance)(ts, params)
     # One regime whose value (zero mean, unit variance) leaves ts unchanged.
     regime = Regime(start=1, end=len(ts), kind=kind, value=0.0 if kind == "mean" else 1.0)
-    return ShiftResult([regime], [], ts, np.zeros(len(ts)))
+    return ShiftResult([regime], [], ts)
 
 
 def _run_pipeline(

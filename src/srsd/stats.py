@@ -149,8 +149,6 @@ def first_differences(series: TimeSeries | Sequence[float]) -> TimeSeries:
 def _pooled_t_p(a: np.ndarray, b: np.ndarray) -> float | None:
     """Two-tailed pooled two-sample t-test p-value; None when degenerate."""
     n1, n2 = len(a), len(b)
-    if n1 < 2 or n2 < 2:
-        return None
     sp2 = ((n1 - 1) * np.var(a, ddof=1) + (n2 - 1) * np.var(b, ddof=1)) / (n1 + n2 - 2)
     if sp2 <= 0.0:
         return None
@@ -161,8 +159,6 @@ def _pooled_t_p(a: np.ndarray, b: np.ndarray) -> float | None:
 def _variance_ratio_p(a: np.ndarray, b: np.ndarray) -> float | None:
     """Two-tailed F-test p-value for the variance ratio of zero-mean samples given as squares."""
     n1, n2 = len(a), len(b)
-    if n1 < 1 or n2 < 1:
-        return None
     var1, var2 = float(a.mean()), float(b.mean())
     if var1 <= 0.0 or var2 <= 0.0:
         return None

@@ -142,6 +142,12 @@ def test_json_round_trip_with_prewhitening(canonical):
     assert rebuilt == expected
 
 
+def test_json_accepts_numpy_scalar_params(canonical):
+    x, y, _ = canonical
+    numpy_params = DetectionParams(p=np.float64(0.05), l=np.int64(20))
+    assert result_to_json(run_srsd(x, y, numpy_params)) == result_to_json(run_srsd(x, y))
+
+
 def test_json_rejects_invalid_params(canonical):
     x, y, _ = canonical
     obj = json.loads(result_to_json(run_srsd(x, y)))
@@ -291,10 +297,13 @@ def test_generate_malformed_spec_is_a_data_error(tmp_path, capsys):
     nan_mean = {"x_mean": [[1, float("nan")]]}
     fractional_start = {"correlation": [[1, 0.2], [20.9, 0.5]]}  # starts are not truncated
     bad_n = ({"n": "70"}, {"n": 70.5}, {"n": True}, {"n": [70]})
-    for bad in (*bad_n, nan_mean, fractional_start):
+    misspelt_key = {"x_means": [[1, 5.0]]}  # an unknown key is not ignored
+    for bad in (*bad_n, nan_mean, fractional_start, misspelt_key):
         spec_path.write_text(json.dumps({"n": 70, "correlation": [[1, 0.2]], **bad}))
         assert run_cli("generate", "--spec", spec_path, "--output", out) == 2, bad
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+    assert "'x_means'" in err
     assert not out.exists()
 
 

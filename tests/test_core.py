@@ -87,11 +87,30 @@ def test_default_params_are_valid():
         {"l": True},
         {"p": math.nan},
         {"m": True},
+        {"p": True},  # p must be a real number, not a bool
+        {"p": np.True_},
     ],
 )
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ParameterError):
         DetectionParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"p": np.float32(0.05)},
+        {"p": np.float64(0.1), "l": np.int64(20)},
+        {"l": np.int32(15), "prewhiten": "ip4", "m": np.int64(10)},
+        {"p": 1 / 4, "l": 20, "m": 10},
+    ],
+)
+def test_numpy_scalar_params_are_stored_as_python_numbers(kwargs):
+    params = DetectionParams(**kwargs)
+    assert type(params.p) is float and type(params.l) is int
+    assert params.m is None or type(params.m) is int
+    for name, value in kwargs.items():
+        assert getattr(params, name) == value
 
 
 def test_replace_checks_the_new_params():

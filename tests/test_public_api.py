@@ -97,13 +97,13 @@ PUBLIC_PARAMETERS = {
     "fisher_compare": ["r1", "n1", "r2", "n2"],
     "fisher_ci": ["r", "n", "confidence"],
     "first_differences": ["series"],
-    "MeanShiftResult": ["regimes", "change_points", "series", "trace"],
+    "MeanShiftResult": ["regimes", "change_points", "series"],
     "threshold_delta": ["params", "avg_var"],
     "detect_mean": ["series", "params"],
     "init_mean_monitor": ["history", "params", "avg_var"],
     "monitor_mean": ["state", "new_value", "params"],
     "finalize_mean": ["series", "state"],
-    "VarianceShiftResult": ["regimes", "change_points", "series", "trace"],
+    "VarianceShiftResult": ["regimes", "change_points", "series"],
     "critical_variances": ["current_variance", "params"],
     "detect_variance": ["residuals", "params"],
     "init_variance_monitor": ["history", "params"],
