@@ -8,6 +8,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import srsd
+from srsd import cli
 from srsd import DataError, DetectionParams, ParameterError, run_srsd
 from srsd.cli import main, parse_csv, result_from_json, result_to_json
 
@@ -72,6 +74,60 @@ def test_parse_csv_ragged_row(tmp_path):
     path.write_text("a,b\n1,2\n3\n")
     with pytest.raises(DataError, match="row 3"):
         parse_csv(str(path), ["b"])
+
+
+def test_parse_csv_skips_blank_lines_and_names_physical_rows(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("t,v\n1,0.5\n\n   \n2,1.5\n\t\n3,2.5\n")
+    (series,) = parse_csv(str(path), ["v"])
+    assert series.values.tolist() == [0.5, 1.5, 2.5]
+    assert series.labels.tolist() == [1.0, 2.0, 3.0]
+
+    path.write_text("t,v\n1,0.5\n\n  \n2,abc\n")
+    with pytest.raises(DataError, match=r"could not parse 'abc' in column 'v' at row 5$"):
+        parse_csv(str(path), ["v"])
+    path.write_text("t,v\n1,0.5\n \n\n2,1.5,9\n3\n")
+    with pytest.raises(DataError, match=r"row 5 has 3 cells, expected 2$"):
+        parse_csv(str(path), ["v"])
+
+
+def test_parse_csv_crlf_padding_and_float_forms(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"t , a ,b\r\n1, 1.5 ,1_0\r\n2,\t-2e1 , +3\r\n\r\n3,0x0,inf\r\n")
+    with pytest.raises(DataError, match=r"could not parse '0x0' in column 'a' at row 5$"):
+        parse_csv(str(path), ["a", "b"])
+    path.write_bytes(b"t , a ,b\r\n1, 1.5 ,1_0\r\n2,\t-2e1 , +3\r\n\r\n3,.25,7.\r\n")
+    a, b = parse_csv(str(path), ["a", "b"])
+    assert a.values.tolist() == [1.5, -20.0, 0.25]
+    assert b.values.tolist() == [10.0, 3.0, 7.0]
+    assert a.labels.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_parse_csv_non_finite_cell_is_a_series_error(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("t,v\n1,0.5\n2,nan\n3,1.5\n")
+    with pytest.raises(DataError, match="non-finite value at position 2"):
+        parse_csv(str(path), ["v"])
+
+
+@pytest.mark.parametrize(
+    "first",
+    [["a", "b", "c"], ["1", "3", "2"], ["1", "1", "2"], ["1", "nan", "3"], ["1", "2", "x"]],
+)
+def test_parse_csv_first_column_without_labels(tmp_path, first):
+    path = tmp_path / "in.csv"
+    path.write_text("t,v\n" + "".join(f"{t},{i}\n" for i, t in enumerate(first)))
+    (series,) = parse_csv(str(path), ["v"])
+    assert series.labels is None
+    assert series.values.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_parse_csv_selected_first_column_is_not_labels(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("t,v\n1,5\n2,6\n3,7\n")
+    t, v = parse_csv(str(path), ["t", "v"])
+    assert t.labels is None and v.labels is None
+    assert t.values.tolist() == [1.0, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +239,49 @@ def test_prewhitening_is_echoed(fixture_csv, capsys):
     assert obj["params"]["prewhiten"] == "ip4"
     assert obj["ar1"][0]["method"] == "ip4"
     assert abs(obj["ar1"][0]["alpha"]) < 0.3
+
+
+def _reference_dumps(command, body):
+    """The indent-2 layout as the standard library's encoder writes it."""
+    doc = {"schema_version": "1", "tool": "srsd", "version": srsd.__version__, "command": command}
+    return json.dumps({**doc, **body}, indent=2, allow_nan=False) + "\n"
+
+
+WRITER_BODIES = [
+    {},
+    {"empty_dict": {}, "empty_list": [], "nested": {"a": {"b": {}}, "c": [[], [{}], [[1.5]]]}},
+    {"records": [{"start": 1, "end": 9, "mean": 0.25}, {"start": 10, "end": 20, "mean": -1e-300}]},
+    {"floats": [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 123456789.125]},
+    {"with_int": [0.5, 2, 1.5], "with_numpy": [0.5, np.float64(2.5), 1.5], "one": [3.0]},
+    {"text": ["a, b", 'say "hi"', "caf\u00e9 \u2013 \U0001F600", ", ", ""], "key, \"\u00e9\"": "x"},
+    {"scalars": [None, True, False, 0, -7, 2**70, -0.0, 5e-324, 1.7976931348623157e308]},
+    {"none": None, "flag": True, "n": 3, "x": -0.0, "tiny": 5e-324, "big": 1.7976931348623157e308},
+    {"mixed": [1.0, None, 2.0], "bools": [True, 1.0], "tuple": (1.0, 2.0), "deep": [[0.5, 1.5], [2.5]]},
+]
+
+
+@pytest.mark.parametrize("body", WRITER_BODIES, ids=range(len(WRITER_BODIES)))
+def test_dumps_matches_standard_indent_2_layout(body):
+    assert cli._dumps("detect-mean", body) == _reference_dumps("detect-mean", body)
+
+
+def test_dumps_matches_standard_layout_on_a_pipeline_result(canonical_result):
+    body = {key: cli._to_obj(getattr(canonical_result, key)) for key in cli._SRSD_KEYS}
+    assert cli._dumps("detect-correlation", body) == _reference_dumps("detect-correlation", body)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["float_list", "scalar", "nested"])
+def test_dumps_rejects_non_finite_floats(bad, where):
+    body = {
+        "float_list": {"values": [0.5, bad, 1.5]},
+        "scalar": {"value": bad},
+        "nested": {"regimes": [{"mean": bad}]},
+    }[where]
+    with pytest.raises(ValueError, match="Out of range float values"):
+        _reference_dumps("detect-mean", body)
+    with pytest.raises(ValueError, match="Out of range float values"):
+        cli._dumps("detect-mean", body)
 
 
 # ---------------------------------------------------------------------------
