@@ -50,7 +50,7 @@ from .core import (
 from .mean_shift import detect_mean
 from .pipeline import CandidateRecord, SrsdResult, run_srsd
 from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
-from .stats import pearson_r
+from .stats import _pearson
 from .synthgen import RegimeSpec, canonical_spec, generate_pair
 from .variance_shift import detect_variance
 
@@ -63,24 +63,30 @@ SCHEMA_VERSION = "1"
 # CSV input
 
 
-def _parse_cell(cell: str, column: str, row: int) -> float:
+def _floats(cells: list[str], column: str, rows: Sequence[int]) -> np.ndarray:
+    """One column's cells as floats; a bad cell is named with its physical row."""
     try:
-        return float(cell)
+        return np.array(cells, dtype=float)  # float() on each str: same forms, same bits
     except ValueError:
-        raise DataError(
-            f"could not parse {cell.strip()!r} in column {column!r} at row {row}"
-        ) from None
+        for cell, row in zip(cells, rows):
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(
+                    f"could not parse {cell.strip()!r} in column {column!r} at row {row}"
+                ) from None
+        raise
 
 
 def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
     """Read named columns from a headered CSV as TimeSeries.
 
     Row numbers in error messages are physical file rows (the header is row
-    1). The first column doubles as time labels when it is not itself
-    selected and holds strictly increasing numbers.
+    1); blank lines are skipped. The first column doubles as time labels when
+    it is not itself selected and holds strictly increasing numbers.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -94,34 +100,32 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
             raise DataError(
                 f"{path}: column {name!r} not found; available: {', '.join(header)}"
             )
-    rows = []
-    for rownum, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(
-                f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}"
-            )
-        rows.append((rownum, cells))
-    if not rows:
+    body = lines[1:]
+    kept = list(filter(str.strip, body))
+    rows: Sequence[int] = range(2, len(kept) + 2)  # physical row of each kept line
+    if len(kept) != len(body):
+        rows = [row for row, line in enumerate(body, start=2) if line.strip()]
+    width = len(header)
+    commas = [line.count(",") for line in kept]
+    if commas.count(width - 1) != len(commas):
+        k = next(k for k, count in enumerate(commas) if count != width - 1)
+        raise DataError(f"{path}: row {rows[k]} has {commas[k] + 1} cells, expected {width}")
+    if not kept:
         raise DataError(f"{path}: no observations")
+    cells = ",".join(kept).split(",")
 
     labels = None
     if header[0] not in columns:
         try:
-            first = [float(cells[0]) for _, cells in rows]
+            first = np.array(cells[::width], dtype=float)
         except ValueError:
             first = None
-        if first is not None and all(b > a for a, b in zip(first, first[1:])):
+        if first is not None and np.all(first[1:] > first[:-1]):  # no inf - inf
             labels = first
-
-    out = []
-    for name in columns:
-        col = header.index(name)
-        values = [_parse_cell(cells[col], name, rownum) for rownum, cells in rows]
-        out.append(TimeSeries(values, labels=labels, name=name))
-    return out
+    return [
+        TimeSeries(_floats(cells[header.index(col) :: width], col, rows), labels=labels, name=col)
+        for col in columns
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +179,36 @@ def _from_obj(tp: Any, obj: Any) -> Any:
     return obj
 
 
+def _write(value: Any, indent: str, out: list[str]) -> None:
+    """Append value's JSON to out in json.dumps's indent=2 layout; indent opens its line."""
+    if not (isinstance(value, (dict, list, tuple)) and value):  # a scalar, {} or []
+        out.append(json.dumps(value, allow_nan=False))
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())
+    elif set(map(type, value)) == {float}:  # one C-encoder call; no float repr holds ", "
+        flat = json.dumps(value, allow_nan=False)[1:-1].replace(", ", ",\n" + inner)
+        out += ("[\n", inner, flat, "\n", indent, "]")
+        return
+    else:
+        brackets, items = "[]", (("", item) for item in value)
+    out.append(brackets[0])
+    for key, item in items:
+        out += ("\n", inner, key)
+        _write(item, inner, out)
+        out.append(",")
+    out[-1] = "\n" + indent + brackets[1]  # the last item's comma
+
+
 def _dumps(command: str, body: dict[str, Any]) -> str:
     """A result file: the header, then body in its order."""
     doc = {"schema_version": SCHEMA_VERSION, "tool": "srsd", "version": __version__}
     doc.update(command=command, **body)
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    out: list[str] = []
+    _write(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # Key order of a pipeline result file after the header.
@@ -371,11 +400,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _running_correlation(x: np.ndarray, y: np.ndarray, window: int) -> list[float]:
-    return [
-        pearson_r(x[s : s + window], y[s : s + window])
-        for s in range(len(x) - window + 1)
-    ]
+def _running_correlation(x: np.ndarray, y: np.ndarray, window: int) -> list[float | None]:
+    """Pearson r of each window of two validated series; None where a window is constant."""
+    return [_pearson(x[s : s + window], y[s : s + window]) for s in range(len(x) - window + 1)]
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
@@ -388,9 +415,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     adjusted = _running_correlation(adj_x, adj_y, args.window)
     rows = ["start,end,raw,adjusted"]
     for i, (rv, av) in enumerate(zip(raw, adjusted)):
-        rows.append(
-            "%d,%d,%s,%s" % (i + 1, i + args.window, _fmt(float(rv)), _fmt(float(av)))
-        )
+        rows.append("%d,%d,%s,%s" % (i + 1, i + args.window, _fmt(rv), _fmt(av)))
     _write_output(args.output, "\n".join(rows) + "\n")
 
     if args.traces:

@@ -130,6 +130,20 @@ def test_parse_csv_selected_first_column_is_not_labels(tmp_path):
     assert t.values.tolist() == [1.0, 2.0, 3.0]
 
 
+def test_parse_csv_accepts_utf8_byte_order_mark(tmp_path, fixture_csv, capsys):
+    rows = fixture_csv.read_text().splitlines()
+    plain = "\n".join(line.split(",", 1)[1] for line in rows) + "\n"  # header "x,y"
+    outputs = []
+    for name, payload in (("plain.csv", plain.encode()), ("bom.csv", b"\xef\xbb\xbf" + plain.encode())):
+        path = tmp_path / name
+        path.write_bytes(payload)
+        x, y = parse_csv(str(path), ["x", "y"])
+        assert (x.name, y.name, len(x), x.labels) == ("x", "y", 70, None)
+        assert run_cli("detect-correlation", path, "--columns", "x,y") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 
@@ -442,3 +456,17 @@ def test_diagnose_traces(tmp_path, fixture_csv, capsys):
         ("diff", "rssi"),
     }
     assert len(lines) - 1 == 6 * 70
+
+
+def test_diagnose_leaves_constant_windows_empty(tmp_path, canonical, capsys):
+    x, y, _ = canonical
+    xv = [1.0] * 30 + x.values.tolist()[30:]  # x is constant on rows 1-30
+    path = tmp_path / "const.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(xv, y.values.tolist())))
+    assert run_cli("detect-correlation", path, "--columns", "x,y") == 0
+    capsys.readouterr()
+    assert run_cli("diagnose", path, "--columns", "x,y", "--window", "10") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 61
+    assert [int(end) for _, end, raw, _ in rows if raw == ""] == list(range(10, 31))
+    assert all(-1.0 <= float(raw) <= 1.0 for _, _, raw, _ in rows[21:])
