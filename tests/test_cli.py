@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 from importlib import resources
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import srsd
 from srsd import cli
-from srsd import DataError, DetectionParams, ParameterError, run_srsd
+from srsd import DataError, DetectionParams, ParameterError, TimeSeries, run_srsd
 from srsd.cli import main, parse_csv, result_from_json, result_to_json
 
 FIXTURE_HEADER = "index,x,y"
@@ -142,6 +143,85 @@ def test_parse_csv_accepts_utf8_byte_order_mark(tmp_path, fixture_csv, capsys):
         assert run_cli("detect-correlation", path, "--columns", "x,y") == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def _reference_parse_csv(path, columns):
+    """parse_csv's semantics as a row-by-row loop (after the header checks)."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    header = [name.strip() for name in lines[0].split(",")]
+    rows = []
+    for rownum, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}")
+        rows.append((rownum, cells))
+    if not rows:
+        raise DataError(f"{path}: no observations")
+    labels = None
+    if header[0] not in columns:
+        try:
+            first = [float(cells[0]) for _, cells in rows]
+        except ValueError:
+            first = None
+        if first is not None and all(b > a for a, b in zip(first, first[1:])):
+            labels = first
+    out = []
+    for name in columns:
+        col = header.index(name)
+        values = []
+        for rownum, cells in rows:
+            try:
+                values.append(float(cells[col]))
+            except ValueError:
+                raise DataError(
+                    f"could not parse {cells[col].strip()!r} in column {name!r} at row {rownum}"
+                ) from None
+        out.append(TimeSeries(values, labels=labels, name=name))
+    return out
+
+
+def _outcome(parse, path, columns):
+    """The parsed series as exact bytes, or the error message."""
+    try:
+        series = parse(str(path), columns)
+    except DataError as exc:
+        return str(exc)
+    return [
+        (s.name, s.values.tobytes(), None if s.labels is None else s.labels.tobytes())
+        for s in series
+    ]
+
+
+def test_parse_csv_matches_row_by_row_reference(tmp_path):
+    rng = random.Random(20261018)
+    usual = ["1.5", " -2 ", "1_0", "3e2", "-0.0"]
+    unusual = ["inf", "nan", "abc", "", " ", "0x1", "\u0663", "7."]
+    path = tmp_path / "fuzz.csv"
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        if rng.random() < 0.7:
+            first = sorted(rng.sample(range(1, 50), n))
+        else:
+            first = [rng.randint(1, 9) for _ in range(n)]
+        lines = ["t,a,b"]
+        for t in first:
+            row = [str(t)] + [rng.choice(usual if rng.random() < 0.9 else unusual) for _ in "ab"]
+            if rng.random() < 0.03:  # a ragged row
+                row = row[: rng.choice([1, 2])] if rng.random() < 0.5 else row + ["9"]
+            lines.append(",".join(row))
+            if rng.random() < 0.15:
+                lines.append(rng.choice(["", "  ", "\t"]))
+        end = rng.choice(["\n", "\r\n"])
+        path.write_text(end.join(lines) + end)
+        for columns in (["a"], ["b", "a"], ["t", "b"]):
+            expected = _outcome(_reference_parse_csv, path, columns)
+            assert _outcome(parse_csv, path, columns) == expected
+            outcomes.add(expected if isinstance(expected, str) else "parsed")
+    assert len(outcomes) > 20  # many distinct errors are reached, and successes
 
 
 # ---------------------------------------------------------------------------
