@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import srsd
-from srsd import cli
-from srsd import DataError, DetectionParams, ParameterError, TimeSeries, run_srsd
+from srsd import DataError, DetectionParams, ParameterError, TimeSeries, cli, run_srsd
 from srsd.cli import main, parse_csv, result_from_json, result_to_json
 
 FIXTURE_HEADER = "index,x,y"
