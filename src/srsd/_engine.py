@@ -131,9 +131,11 @@ def init_state(
     inside the bootstrap window are still found; index 1 alone can never be a
     change-point.
     """
+    if len(history) < l:
+        raise DataError(f"series of length {len(history)} is shorter than l={l}")
     values = history.values.tolist()
     scanned = (history.values * history.values).tolist() if kind.squared else values
-    state = MonitorState(kind.name, l, threshold, index_scale, values, scanned[:l], l, None, [])
+    state = MonitorState(kind.name, threshold, index_scale, values, scanned[:l], None, [])
     _scan(state, kind.multiplicative, scanned, 1, 1)
     return state
 
@@ -144,11 +146,12 @@ def _scan(
     """Scan buf[i:], where buf[k] is the scanned value of point base + k.
 
     A candidate that state holds open starts at buf[0] and has been tested
-    on buf[:i]. The window always holds exactly cap values. Returns the
-    change-point confirmed at the last point of buf, if any.
+    on buf[:i]. Outside a test the window holds the cap = l values before the
+    cursor, or the bootstrap block, whose points are members already. Returns
+    the change-point confirmed at the last point of buf, if any.
     """
-    cap, threshold, n = state.cap, state.threshold, len(buf)
-    win, last, pend, confirmed = state.window, state.last, state.pending, None
+    win, threshold, n = state.window, state.threshold, len(buf)
+    cap, pend, confirmed = len(win), state.pending, None
     start = -1 if pend is None else 0
     if pend is not None:
         up, critical, csum = pend.csum > 0.0, pend.critical, pend.csum
@@ -165,14 +168,12 @@ def _scan(
             elif value < lo:
                 up, critical = False, lo
             else:
-                if base + i > last:  # points of the bootstrap window are members already
-                    last = base + i
+                if base + i > cap:  # points of the bootstrap block are members already
                     win.append(value)
                     del win[0]
                 i += 1
                 continue
             if state.index_scale <= 0.0:
-                state.last = last
                 raise DataError("degenerate series: shift index scale is zero")
             # The candidate's own point is the first one its test counts.
             start, csum = i, 0.0
@@ -182,8 +183,7 @@ def _scan(
             if csum <= 0.0 if up else csum >= 0.0:
                 # Failed test: the candidate joins the open regime and the
                 # cursor rewinds to rescan everything after it.
-                if base + start > last:
-                    last = base + start
+                if base + start > cap:
                     win.append(buf[start])
                     del win[0]
                 i, start = start + 1, -1
@@ -192,10 +192,8 @@ def _scan(
                 cp = ChangePoint(index=base + start, index_value=csum / state.index_scale)
                 state.change_points.append(cp)
                 win = state.window = buf[start:i]
-                last = base + i - 1
                 confirmed, start = cp if i == n else None, -1
                 break
-    state.last = last
     if start < 0:
         state.pending = None
     elif pend is not None and start == 0:
@@ -246,8 +244,9 @@ def monitor(
     raw_value = float(new_value)
     if not math.isfinite(raw_value):
         raise DataError(f"observation {raw_value!r} at position {len(state.raw) + 1} is not finite")
-    if params.l != state.cap:
-        raise ParameterError(f"params.l={params.l} does not match monitor l={state.cap}")
+    l = len(state.window)
+    if params.l != l:
+        raise ParameterError(f"params.l={params.l} does not match monitor l={l}")
     state.raw.append(raw_value)
     value = raw_value * raw_value if kind.squared else raw_value
     pend = state.pending

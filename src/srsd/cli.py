@@ -48,8 +48,8 @@ from .core import (
     TimeSeries,
 )
 from .mean_shift import detect_mean
-from .pipeline import CandidateRecord, SrsdResult, run_srsd
-from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
+from .pipeline import CandidateRecord, SrsdResult, _prewhitened, run_srsd
+from .prewhiten import Ar1Estimate
 from .stats import _pearson
 from .synthgen import RegimeSpec, canonical_spec, generate_pair
 from .variance_shift import detect_variance
@@ -336,10 +336,7 @@ def _columns(args: argparse.Namespace, expected: int) -> list[str]:
 def _cmd_detect_single(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     (series,) = parse_csv(args.input, _columns(args, 1))
-    ar1 = None
-    if params.prewhiten != "none":
-        ar1 = estimate_ar1(series, params.m, params.prewhiten)
-        series = prewhiten(series, ar1.alpha)
+    series, ar1 = _prewhitened(series, params)
     detect = detect_mean if args.command == "detect-mean" else detect_variance
     res = detect(series, params)
     if args.format == "json":

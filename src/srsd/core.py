@@ -201,7 +201,7 @@ class PendingCandidate:
     """
 
     index: int
-    critical: float
+    critical: float  # derivable from the window, but rebuilding it slowed monitor steps ~14 %
     csum: float
     values: list[float]
 
@@ -215,18 +215,16 @@ class MonitorState:
     over each new observation in a monitor; a failed candidate test rewinds
     it to the point after the candidate. raw holds every point fed, so the
     newest one's index is len(raw). window holds the scanned values of the
-    open regime's newest cap members, whose mean is its estimate, and last
-    is the index of the newest of them. Results derive the shift-index trace
-    from change_points and pending.
+    open regime's newest l members, whose mean is its estimate, so l is
+    len(window). Results derive the shift-index trace from change_points and
+    pending.
     """
 
     kind: Literal["mean", "variance"]
-    cap: int
     threshold: float
     index_scale: float
     raw: list[float]
     window: list[float]
-    last: int
     pending: PendingCandidate | None
     change_points: list[ChangePoint]
 

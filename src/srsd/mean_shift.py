@@ -17,7 +17,6 @@ from typing import Sequence
 from . import _engine
 from ._engine import MEAN, ShiftResult
 from .core import (
-    DataError,
     DetectionParams,
     MonitorState,
     ParameterError,
@@ -75,8 +74,6 @@ def init_mean_monitor(
     detection threshold; by default it is computed from the supplied history.
     """
     ts = as_series(history)
-    if len(ts) < params.l:
-        raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")
     if avg_var is None:
         avg_var = running_avg_variance(ts, params.l)
     delta = threshold_delta(params, avg_var)

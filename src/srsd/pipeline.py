@@ -278,6 +278,14 @@ def _adjust(
     return ShiftResult([regime], [], ts)
 
 
+def _prewhitened(ts: TimeSeries, params: DetectionParams) -> tuple[TimeSeries, Ar1Estimate | None]:
+    """ts filtered by its own AR(1) estimate when params ask for it, and that estimate."""
+    if params.prewhiten == "none":
+        return ts, None
+    est = estimate_ar1(ts, params.m, params.prewhiten)
+    return prewhiten(ts, est.alpha), est
+
+
 def _run_pipeline(
     x: TimeSeries | Sequence[float],
     y: TimeSeries | Sequence[float],
@@ -290,13 +298,7 @@ def _run_pipeline(
     ys = as_series(y, name="y")
     if len(xs) != len(ys):
         raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
-    ar1: tuple[Ar1Estimate | None, Ar1Estimate | None] = (None, None)
-    if params.prewhiten != "none":
-        est_x = estimate_ar1(xs, params.m, params.prewhiten)
-        est_y = estimate_ar1(ys, params.m, params.prewhiten)
-        xs = prewhiten(xs, est_x.alpha)
-        ys = prewhiten(ys, est_y.alpha)
-        ar1 = (est_x, est_y)
+    (xs, est_x), (ys, est_y) = _prewhitened(xs, params), _prewhitened(ys, params)
     mean_x, mean_y = (_adjust(s, "mean", params, skip) for s in (xs, ys))
     var_x, var_y = (_adjust(m.residuals, "variance", params, skip) for m in (mean_x, mean_y))
     correlation = detect_correlation(var_x.normalized, var_y.normalized, corr_params)
@@ -306,7 +308,7 @@ def _run_pipeline(
         params=params,
         corr_params=corr_params,
         skipped=skip,
-        ar1=ar1,
+        ar1=(est_x, est_y),
         mean_results=(mean_x, mean_y),
         variance_results=(var_x, var_y),
         correlation=correlation,

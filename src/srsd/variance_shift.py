@@ -75,8 +75,6 @@ def init_variance_monitor(
 ) -> MonitorState:
     """Initialize streaming variance monitoring from at least l residuals."""
     ts = as_series(history)
-    if len(ts) < params.l:
-        raise DataError(f"series of length {len(ts)} is shorter than l={params.l}")
     f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
     return _engine.init_state(VARIANCE, ts, params.l, f_crit, float(params.l))
 

@@ -24,7 +24,10 @@ rounding and constant stretches at l in {5, 20} and p in {0.05, 0.5}.
     python tests/engine_corpus.py --freeze
 
 rewrites both files from the code in `src/`; `test_engine_corpus.py` checks
-the code against the frozen files.
+the code against the frozen files. Without `--freeze` the script checks them
+too, and prints what a re-freeze must report: every case with a run whose
+change-points or error moved, and the number of cases whose bits alone
+changed.
 """
 from __future__ import annotations
 
@@ -145,6 +148,14 @@ def record_stream(kind: str, values: np.ndarray, params, k: int) -> dict:
     }
 
 
+def stream_start(meta: dict) -> int | None:
+    """How many points the case's monitors start from; None for a case without monitors."""
+    seed = meta["seed"]
+    if seed is None or seed % STREAM_EVERY or meta["n"] < meta["l"]:
+        return None
+    return int(np.random.default_rng([20261018, seed, 1]).integers(meta["l"], meta["n"] + 1))
+
+
 def run_case(meta: dict, values: np.ndarray) -> dict:
     import srsd
 
@@ -152,10 +163,8 @@ def run_case(meta: dict, values: np.ndarray) -> dict:
     out = dict(meta)
     out["mean"] = record_batch(srsd.detect_mean, values, params)
     out["variance"] = record_batch(srsd.detect_variance, values, params)
-    seed = meta["seed"]
-    if seed is not None and seed % STREAM_EVERY == 0 and meta["n"] >= meta["l"]:
-        rng = np.random.default_rng([20261018, seed, 1])
-        k = int(rng.integers(meta["l"], meta["n"] + 1))
+    k = stream_start(meta)
+    if k is not None:
         out["stream"] = {
             "k": k,
             "mean": record_stream("mean", values, params, k),
@@ -287,6 +296,25 @@ def first_difference(frozen: dict, now: dict) -> str | None:
     return None
 
 
+def _outcome(record: dict) -> str:
+    if "error" in record:
+        return repr(record["error"])
+    return f"change-points {record.get('cps', record.get('confirmed'))}"
+
+
+def moved(frozen: dict, now: dict) -> list[str]:
+    """The runs of a recomputed case whose change-points or error left the frozen record's.
+
+    Any other run that differs changed only bits.
+    """
+    fs, ns = frozen.get("stream", {}), now.get("stream", {})
+    runs = [(w, frozen[w], now[w]) for w in ("mean", "variance", *PIPELINE_MODES) if w in frozen]
+    runs += [(f"{w} monitor", fs[w], ns.get(w, {})) for w in ("mean", "variance") if w in fs]
+    return [
+        f"{w}: {_outcome(a)}, now {_outcome(b)}" for w, a, b in runs if _outcome(a) != _outcome(b)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--freeze", action="store_true", help=f"rewrite {CORPUS.name}")
@@ -302,9 +330,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"froze {len(cases)} cases into {path}")
             continue
         bad = [(f, c) for f, c in zip(load(path), cases) if difference(f, c)]
-        for frozen, now in bad[:5]:
-            print(f"{describe(frozen)}: {difference(frozen, now)}")
-        print(f"{len(cases) - len(bad)} of {len(cases)} cases of {path.name} match")
+        moves = [(f, moved(f, c)) for f, c in bad if moved(f, c)]
+        for frozen, runs in moves:
+            print(f"{describe(frozen)}: {'; '.join(runs)}")
+        print(
+            f"{len(cases) - len(bad)} of {len(cases)} cases of {path.name} match; "
+            f"{len(moves)} move change-points or errors (listed above), "
+            f"{len(bad) - len(moves)} change bits only"
+        )
         failed = failed or bool(bad)
     return 1 if failed else 0
 

@@ -28,3 +28,24 @@ def test_pipeline_reproduces_the_frozen_corpus():
         assert {k: record[k] for k in meta} == meta, "the corpus inputs changed"
         diff = engine_corpus.pipeline_difference(record, engine_corpus.run_pair_case(meta, x, y))
         assert diff is None, f"{engine_corpus.describe(meta)}: {diff}"
+
+
+def test_a_refreeze_report_lists_moved_runs_and_not_bits_alone():
+    frozen = {
+        "mean": {"cps": [5], "crc": "a"},
+        "variance": {"cps": [9], "crc": "b"},
+        "stream": {"k": 20, "mean": {"confirmed": [], "crc": "c"}, "variance": {"error": "E"}},
+    }
+    now = {
+        "mean": {"cps": [5], "crc": "z"},
+        "variance": {"cps": [-9], "crc": "b"},
+        "stream": {"k": 20, "mean": {"confirmed": [30], "crc": "c"}, "variance": {"error": "E"}},
+    }
+    assert engine_corpus.moved(frozen, now) == [
+        "variance: change-points [9], now change-points [-9]",
+        "mean monitor: change-points [], now change-points [30]",
+    ]
+    assert engine_corpus.moved(frozen, {**frozen, "mean": {"cps": [5], "crc": "z"}}) == []
+    pair = {mode: {"cps": [], "crc": "a"} for mode in engine_corpus.PIPELINE_MODES}
+    failed = {**pair, "run_srsd": {"error": "DataError: x"}}
+    assert engine_corpus.moved(pair, failed) == ["run_srsd: change-points [], now 'DataError: x'"]

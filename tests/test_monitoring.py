@@ -120,6 +120,22 @@ def test_status_fields_follow_state():
             assert not status.change_point.provisional
 
 
+def test_a_shift_index_back_at_exactly_zero_fails_the_test():
+    """A zero shift index has lost its sign: the candidate folds back at once."""
+    params = DetectionParams(l=5)
+    state = init_mean_monitor([0.0] * 5, params, avg_var=1.0)
+    hi = state.threshold  # the upper critical level around a zero mean
+    v1 = hi + 0.5
+    v2 = hi - (v1 - hi)
+    assert (v1 - hi) + (v2 - hi) == 0.0
+    _, status = monitor_mean(state, v1, params)
+    assert (status.state, status.candidate_index) == ("candidate", 6)
+    assert status.index_value > 0.0
+    _, status = monitor_mean(state, v2, params)
+    assert status.state == "stable"
+    assert state.pending is None and state.change_points == []
+
+
 def test_fixture_stream_confirms_first_mean_shift(canonical):
     x, _, expected = canonical
     params = DetectionParams(p=0.05, l=20)
@@ -144,10 +160,13 @@ def test_variance_stream_confirms_planted_shift():
 
 
 def test_init_requires_full_window():
-    with pytest.raises(DataError):
-        init_mean_monitor([1.0] * 5, DetectionParams(p=0.05, l=20))
-    with pytest.raises(DataError):
-        init_variance_monitor([1.0, -1.0] * 3, DetectionParams(p=0.05, l=20))
+    params = DetectionParams(p=0.05, l=20)
+    with pytest.raises(DataError, match="series of length 5 is shorter than l=20"):
+        init_mean_monitor([1.0] * 5, params)
+    with pytest.raises(DataError, match="series of length 5 is shorter than l=20"):
+        init_mean_monitor([1.0] * 5, params, avg_var=1.0)
+    with pytest.raises(DataError, match="series of length 6 is shorter than l=20"):
+        init_variance_monitor([1.0, -1.0] * 3, params)
 
 
 def test_monitor_rejects_foreign_state():

@@ -78,12 +78,10 @@ PUBLIC_PARAMETERS = {
     "ChangePoint": ["index", "index_value", "p_value", "provisional"],
     "MonitorState": [
         "kind",
-        "cap",
         "threshold",
         "index_scale",
         "raw",
         "window",
-        "last",
         "pending",
         "change_points",
     ],
