@@ -148,7 +148,8 @@ def _scan(
     A candidate that state holds open starts at buf[0] and has been tested
     on buf[:i]. Outside a test the window holds the cap = l values before the
     cursor, or the bootstrap block, whose points are members already. Returns
-    the change-point confirmed at the last point of buf, if any.
+    the last change-point confirmed, if any: a monitor step can confirm one
+    only at its new point.
     """
     win, threshold, n = state.window, state.threshold, len(buf)
     cap, pend, confirmed = len(win), state.pending, None
@@ -192,7 +193,7 @@ def _scan(
                 cp = ChangePoint(index=base + start, index_value=csum / state.index_scale)
                 state.change_points.append(cp)
                 win = state.window = buf[start:i]
-                confirmed, start = cp if i == n else None, -1
+                confirmed, start = cp, -1
                 break
     if start < 0:
         state.pending = None

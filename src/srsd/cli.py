@@ -33,7 +33,7 @@ import os
 import sys
 from dataclasses import fields, is_dataclass
 from types import UnionType
-from typing import Any, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -256,6 +256,11 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _csv(header: str, rows: Iterable[Sequence[Any]]) -> str:
+    """CSV text: the header line, then one line of formatted cells per row."""
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
 _TABLE_HEADER = (
     "record,series,kind,start,end,index,value,p_value,ci_low,ci_high,provisional,accepted"
 )
@@ -265,11 +270,11 @@ _COLUMN_OF = {"shift_p_value": "p_value", "index_value": "value", "source": "ser
 _RECORD_OF = {Regime: "regime", ChangePoint: "change_point", CandidateRecord: "candidate"}
 
 
-def _row(record: Regime | ChangePoint | CandidateRecord, **cells: Any) -> str:
+def _row(record: Regime | ChangePoint | CandidateRecord, **cells: Any) -> list[Any]:
     """One table row: the record's fields in their columns, over the given cells."""
     cells["record"] = _RECORD_OF[type(record)]
     cells.update((_COLUMN_OF.get(f.name, f.name), getattr(record, f.name)) for f in fields(record))
-    return ",".join(_fmt(cells.get(column)) for column in _TABLE_COLUMNS)
+    return [cells.get(column) for column in _TABLE_COLUMNS]
 
 
 def _table_rows(
@@ -277,7 +282,7 @@ def _table_rows(
     regimes: Sequence[Regime],
     change_points: Sequence[ChangePoint],
     candidates: Sequence[CandidateRecord] = (),
-) -> list[str]:
+) -> list[list[Any]]:
     kind = regimes[0].kind if regimes else ""
     return (
         [_row(r, series=series_name) for r in regimes]
@@ -287,13 +292,13 @@ def _table_rows(
 
 
 def _srsd_to_csv(result: SrsdResult) -> str:
-    rows = [_TABLE_HEADER]
+    rows: list[list[Any]] = []
     for results in (result.mean_results, result.variance_results):
         for series, res in zip((result.x, result.y), results):
             rows += _table_rows(series.name or "series", res.regimes, res.change_points)
     corr = result.correlation
     rows += _table_rows("correlation", corr.regimes, corr.change_points, corr.candidates)
-    return "\n".join(rows) + "\n"
+    return _csv(_TABLE_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,7 @@ def _cmd_detect_single(args: argparse.Namespace) -> int:
         text = _single_to_json(args.command, params, series, ar1, res)
     else:
         rows = _table_rows(series.name or "series", res.regimes, res.change_points)
-        text = "\n".join([_TABLE_HEADER, *rows]) + "\n"
+        text = _csv(_TABLE_HEADER, rows)
     _write_output(args.output, text)
     return 0
 
@@ -390,10 +395,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise ParameterError(f"SRSD_SEED must be an integer, got {env_seed!r}") from None
     spec = _spec_from_file(args.spec, seed) if args.spec else canonical_spec(seed)
     x, y = generate_pair(spec)
-    rows = ["index,x,y"]
-    for i, (xv, yv) in enumerate(zip(x.values, y.values), start=1):
-        rows.append("%d,%s,%s" % (i, _fmt(float(xv)), _fmt(float(yv))))
-    _write_output(args.output, "\n".join(rows) + "\n")
+    rows = zip(range(1, len(x) + 1), x.values.tolist(), y.values.tolist())
+    _write_output(args.output, _csv("index,x,y", rows))
     return 0
 
 
@@ -410,13 +413,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     raw = _running_correlation(result.x.values, result.y.values, args.window)
     adj_x, adj_y = (res.normalized.values for res in result.variance_results)
     adjusted = _running_correlation(adj_x, adj_y, args.window)
-    rows = ["start,end,raw,adjusted"]
-    for i, (rv, av) in enumerate(zip(raw, adjusted)):
-        rows.append("%d,%d,%s,%s" % (i + 1, i + args.window, _fmt(rv), _fmt(av)))
-    _write_output(args.output, "\n".join(rows) + "\n")
+    rows = [(s, s + args.window - 1, *rs) for s, rs in enumerate(zip(raw, adjusted), start=1)]
+    _write_output(args.output, _csv("start,end,raw,adjusted", rows))
 
     if args.traces:
-        trace_rows = ["series,detector,index,value"]
+        trace_rows = []
         names = (result.x.name or "x", result.y.name or "y")
         named = [
             *zip(names, result.mean_results),
@@ -428,9 +429,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             if res is None:
                 continue
             detector = KINDS[res.regimes[0].kind].trace_name
-            for i, value in enumerate(res.trace.tolist(), start=1):
-                trace_rows.append("%s,%s,%d,%s" % (name, detector, i, _fmt(value)))
-        _write_output(args.traces, "\n".join(trace_rows) + "\n")
+            trace_rows += [
+                (name, detector, i, value) for i, value in enumerate(res.trace.tolist(), start=1)
+            ]
+        _write_output(args.traces, _csv("series,detector,index,value", trace_rows))
     return 0
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "DetectionParams",
     "Regime",
     "ChangePoint",
-    "PendingCandidate",
     "MonitorState",
     "StepStatus",
     "regimes_to_stepwise",

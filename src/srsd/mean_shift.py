@@ -32,6 +32,7 @@ __all__ = [
     "detect_mean",
     "init_mean_monitor",
     "monitor_mean",
+    "finalize_mean",
 ]
 
 MeanShiftResult = ShiftResult

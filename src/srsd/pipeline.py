@@ -50,14 +50,30 @@ __all__ = [
 ]
 
 
+def _pair(
+    x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]
+) -> tuple[TimeSeries, TimeSeries]:
+    """x and y as series of one length whose labels agree where both have them."""
+    xs = as_series(x, name="x")
+    ys = as_series(y, name="y")
+    if len(xs) != len(ys):
+        raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
+    if xs.labels is not None and ys.labels is not None:
+        differ = np.flatnonzero(xs.labels != ys.labels)
+        if differ.size:
+            k = int(differ[0])
+            raise DataError(
+                f"series labels differ at position {k + 1}: "
+                f"{float(xs.labels[k])!r} vs {float(ys.labels[k])!r}"
+            )
+    return xs, ys
+
+
 def sum_diff_channels(
     x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]
 ) -> tuple[TimeSeries, TimeSeries]:
-    """Pointwise sum and difference of two equal-length series."""
-    xs = as_series(x)
-    ys = as_series(y)
-    if len(xs) != len(ys):
-        raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
+    """Pointwise sum and difference of two equal-length series whose labels agree."""
+    xs, ys = _pair(x, y)
     labels = xs.labels if xs.labels is not None else ys.labels
     return (
         TimeSeries(xs.values + ys.values, labels=labels, name="sum"),
@@ -294,10 +310,7 @@ def _run_pipeline(
     skip: frozenset[str],
 ) -> SrsdResult:
     corr_params = params if corr_params is None else corr_params
-    xs = as_series(x, name="x")
-    ys = as_series(y, name="y")
-    if len(xs) != len(ys):
-        raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
+    xs, ys = _pair(x, y)
     (xs, est_x), (ys, est_y) = _prewhitened(xs, params), _prewhitened(ys, params)
     mean_x, mean_y = (_adjust(s, "mean", params, skip) for s in (xs, ys))
     var_x, var_y = (_adjust(m.residuals, "variance", params, skip) for m in (mean_x, mean_y))

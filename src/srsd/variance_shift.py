@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from . import _engine
 from ._engine import VARIANCE, ShiftResult
 from .core import (
@@ -37,6 +35,7 @@ __all__ = [
     "detect_variance",
     "init_variance_monitor",
     "monitor_variance",
+    "finalize_variance",
 ]
 
 VarianceShiftResult = ShiftResult
@@ -64,10 +63,7 @@ def detect_variance(
     every regime), and the per-index shift-index trace.
     """
     ts = as_series(residuals)
-    state = init_variance_monitor(ts, params)
-    if not np.any(ts.values):
-        raise DataError("variance detection is undefined for an all-zero series")
-    return _engine.build_result(VARIANCE, ts, state)
+    return _engine.build_result(VARIANCE, ts, init_variance_monitor(ts, params))
 
 
 def init_variance_monitor(

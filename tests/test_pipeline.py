@@ -14,6 +14,7 @@ from srsd import (
     DetectionParams,
     ParameterError,
     RegimeSpec,
+    TimeSeries,
     canonical_spec,
     derive_seeds,
     detect_correlation,
@@ -68,6 +69,27 @@ def test_channels_independent_unit_variance():
 def test_channels_require_equal_lengths():
     with pytest.raises(DataError):
         sum_diff_channels([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [run_srsd, step_skipping_mode, detect_correlation, sum_diff_channels],
+    ids=lambda f: f.__name__,
+)
+def test_pair_with_different_labels_is_rejected(call):
+    x, y, _ = srsd.canonical_fixture()
+    labels = x.labels.copy()
+    labels[40:] += 0.5
+    y = TimeSeries(y.values, labels=labels, name="y")
+    with pytest.raises(DataError, match=r"^series labels differ at position 41: 41\.0 vs 41\.5$"):
+        call(x, y)
+
+
+def test_channels_keep_the_labels_of_the_one_labelled_series():
+    x, y, _ = srsd.canonical_fixture()
+    for a, b in ((x, y.values), (x.values, y)):
+        s, d = sum_diff_channels(a, b)
+        assert np.array_equal(s.labels, x.labels) and np.array_equal(d.labels, x.labels)
 
 
 def test_channel_variances_encode_segment_correlation():

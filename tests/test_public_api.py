@@ -167,6 +167,26 @@ def test_public_surface_is_frozen():
     assert sorted(srsd.__all__) == sorted(PUBLIC_NAMES)
 
 
+# The modules whose __all__ srsd re-exports, in its order.
+REEXPORTED = ["core", "stats", "mean_shift", "variance_shift", "prewhiten", "pipeline", "synthgen"]
+
+
+@pytest.mark.parametrize("module_name", REEXPORTED)
+def test_star_import_binds_the_module_all_as_srsd_does(module_name):
+    namespace = {}
+    exec(f"from srsd.{module_name} import *", namespace)
+    del namespace["__builtins__"]
+    module = importlib.import_module(f"srsd.{module_name}")
+    assert sorted(namespace) == sorted(module.__all__)
+    assert {name: getattr(srsd, name, None) for name in namespace} == namespace
+
+
+def test_srsd_all_is_the_union_of_its_modules_all():
+    names = [n for m in REEXPORTED for n in importlib.import_module(f"srsd.{m}").__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(srsd.__all__) == sorted(["__version__", *names])
+
+
 def test_public_parameters_are_frozen():
     parameters = {
         name: list(inspect.signature(obj).parameters)

@@ -12,6 +12,9 @@ from srsd import (
     derive_seeds,
     detect_mean,
     detect_variance,
+    finalize_variance,
+    init_variance_monitor,
+    monitor_variance,
 )
 
 
@@ -115,8 +118,18 @@ def test_short_series_rejected():
 
 
 def test_zero_residuals_rejected():
-    with pytest.raises(DataError):
-        detect_variance([0.0] * 50, DetectionParams())
+    """Batch and stream raise the one error, which names the span."""
+    params = DetectionParams(l=10)
+    zeros = [0.0] * 30
+    with pytest.raises(DataError) as batch:
+        detect_variance(zeros, params)
+    state = init_variance_monitor(zeros[:10], params)
+    for value in zeros[10:]:
+        monitor_variance(state, value, params)
+    with pytest.raises(DataError) as stream:
+        finalize_variance(zeros, state)
+    message = "regime [1, 30] has zero variance; normalization is undefined"
+    assert str(batch.value) == str(stream.value) == message
 
 
 def test_rssi_trace_marks_change_points():
