@@ -224,12 +224,14 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
             if prev.length >= 4 and e - s + 1 >= 4:
                 p = kind.span_test(scanned[prev.start - 1 : prev.end], scanned[s - 1 : e])
             change_points.append(ChangePoint(s, cp.index_value, p))
-        regimes.append(Regime(s, e, kind.name, float(scanned[s - 1 : e].mean()), p))
+        # np.add.reduce / len is ndarray.mean's own sum and division, minus its wrapper.
+        value = float(np.add.reduce(scanned[s - 1 : e]) / (e - s + 1))
+        regimes.append(Regime(s, e, kind.name, value, p))
     if pend is not None:
         # No completed regime lies on its right, so its p-value stays None.
         index_value = pend.csum / state.index_scale
         change_points.append(ChangePoint(pend.index, index_value, provisional=True))
-    series = TimeSeries(kind.output(ts.values, regimes), labels=ts.labels, name=ts.name)
+    series = TimeSeries._derived(kind.output(ts.values, regimes), ts.labels, ts.name)
     return ShiftResult(regimes, change_points, series)
 
 

@@ -36,15 +36,20 @@ class DataError(ValueError):
     """Input data cannot be analyzed (too short, malformed, degenerate)."""
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0]) + 1
+        raise DataError(f"{what} contains a non-finite value at position {bad}")
+
+
 def _as_float_array(values: Sequence[float], what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise DataError(f"{what} contains no observations")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0]) + 1
-        raise DataError(f"{what} contains a non-finite value at position {bad}")
+    _check_finite(arr, what)
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -78,6 +83,23 @@ class TimeSeries:
         else:
             self.labels = None
         self.name = name
+
+    @classmethod
+    def _derived(
+        cls, values: np.ndarray, labels: np.ndarray | None, name: str | None
+    ) -> TimeSeries:
+        """A series computed from checked series; only the new values are checked.
+
+        values must be a fresh one-dimensional float array; it is checked for
+        finiteness (arithmetic on finite values can overflow) and made
+        read-only. labels must be a checked series's labels, or a slice of
+        them, of the same length; they are shared, not copied.
+        """
+        _check_finite(values, "series values")
+        values.setflags(write=False)
+        ts = cls.__new__(cls)
+        ts.values, ts.labels, ts.name = values, labels, name
+        return ts
 
     def __len__(self) -> int:
         return int(self.values.size)

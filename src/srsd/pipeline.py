@@ -76,8 +76,8 @@ def sum_diff_channels(
     xs, ys = _pair(x, y)
     labels = xs.labels if xs.labels is not None else ys.labels
     return (
-        TimeSeries(xs.values + ys.values, labels=labels, name="sum"),
-        TimeSeries(xs.values - ys.values, labels=labels, name="diff"),
+        TimeSeries._derived(xs.values + ys.values, labels, "sum"),
+        TimeSeries._derived(xs.values - ys.values, labels, "diff"),
     )
 
 

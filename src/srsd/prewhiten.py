@@ -115,4 +115,4 @@ def prewhiten(series: TimeSeries | Sequence[float], alpha: float) -> TimeSeries:
         raise DataError("prewhitening requires at least 2 observations")
     filtered = ts.values[1:] - alpha * ts.values[:-1]
     labels = ts.labels[1:] if ts.labels is not None else None
-    return TimeSeries(filtered, labels=labels, name=ts.name)
+    return TimeSeries._derived(filtered, labels, ts.name)

@@ -84,10 +84,10 @@ def pearson_r(x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]) 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     """Pearson r of two finite equal-length float arrays; None if either is constant."""
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = float(np.sqrt(np.dot(xd, xd)))
-    sy = float(np.sqrt(np.dot(yd, yd)))
+    xd = x - np.add.reduce(x) / len(x)
+    yd = y - np.add.reduce(y) / len(y)
+    sx = math.sqrt(np.dot(xd, xd))
+    sy = math.sqrt(np.dot(yd, yd))
     if sx == 0.0 or sy == 0.0:
         return None
     r = float(np.dot(xd, yd) / (sx * sy))
@@ -143,23 +143,27 @@ def first_differences(series: TimeSeries | Sequence[float]) -> TimeSeries:
     if len(ts) < 2:
         raise DataError("first differences require at least 2 observations")
     labels = ts.labels[1:] if ts.labels is not None else None
-    return TimeSeries(np.diff(ts.values), labels=labels, name=ts.name)
+    return TimeSeries._derived(np.diff(ts.values), labels, ts.name)
 
 
 def _pooled_t_p(a: np.ndarray, b: np.ndarray) -> float | None:
     """Two-tailed pooled two-sample t-test p-value; None when degenerate."""
     n1, n2 = len(a), len(b)
-    sp2 = ((n1 - 1) * np.var(a, ddof=1) + (n2 - 1) * np.var(b, ddof=1)) / (n1 + n2 - 2)
+    # np.var(ddof=1)'s and np.mean's own sums and divisions, minus their wrappers.
+    mean1, mean2 = np.add.reduce(a) / n1, np.add.reduce(b) / n2
+    da, db = a - mean1, b - mean2
+    var1, var2 = np.add.reduce(da * da) / (n1 - 1), np.add.reduce(db * db) / (n2 - 1)
+    sp2 = ((n1 - 1) * var1 + (n2 - 1) * var2) / (n1 + n2 - 2)
     if sp2 <= 0.0:
         return None
-    t = (np.mean(b) - np.mean(a)) / math.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
+    t = (mean2 - mean1) / math.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
     return float(2.0 * stdtr(n1 + n2 - 2, -abs(t)))
 
 
 def _variance_ratio_p(a: np.ndarray, b: np.ndarray) -> float | None:
     """Two-tailed F-test p-value for the variance ratio of zero-mean samples given as squares."""
     n1, n2 = len(a), len(b)
-    var1, var2 = float(a.mean()), float(b.mean())
+    var1, var2 = float(np.add.reduce(a) / n1), float(np.add.reduce(b) / n2)
     if var1 <= 0.0 or var2 <= 0.0:
         return None
     ratio = var2 / var1

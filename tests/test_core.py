@@ -15,6 +15,7 @@ from srsd import (
     Regime,
     TimeSeries,
     detect_mean,
+    detect_variance,
     regimes_to_stepwise,
 )
 
@@ -193,3 +194,35 @@ def test_mean_regimes_partition_the_series(seed, n, shift):
         seg = res.residuals.values[regime.start - 1 : regime.end]
         scale = max(1.0, abs(regime.value))
         assert abs(seg.mean()) <= 1e-9 * scale
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=25, max_value=120),
+    decimals=st.sampled_from([None, 0, 1]),
+    offset=st.sampled_from([0.0, 1e12, -1e12, 3.5]),
+    stretch=st.tuples(st.integers(0, 60), st.integers(0, 40), st.floats(-5.0, 5.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_regime_values_are_the_slice_means(seed, n, decimals, offset, stretch):
+    """Each regime's value has the bits of ndarray.mean over its scanned values.
+
+    Rounding gives ties, the stretch a constant run and the offset a large
+    common level, so the summation order of the mean matters.
+    """
+    rng = np.random.default_rng(seed)
+    values = 2.0 * rng.standard_normal(n)
+    values[n // 2 :] *= 3.0
+    if decimals is not None:
+        values = np.round(values, decimals)
+    start, length, level = stretch
+    values[start : start + length] = level
+    values += offset
+    params = DetectionParams(p=0.1, l=10)
+    for detect, scanned in ((detect_mean, values), (detect_variance, values * values)):
+        try:
+            res = detect(values, params)
+        except DataError:  # a regime of zero variance cannot be normalized
+            continue
+        for r in res.regimes:
+            assert r.value.hex() == float(scanned[r.start - 1 : r.end].mean()).hex()

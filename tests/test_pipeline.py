@@ -92,6 +92,34 @@ def test_channels_keep_the_labels_of_the_one_labelled_series():
         assert np.array_equal(s.labels, x.labels) and np.array_equal(d.labels, x.labels)
 
 
+def test_channel_overflow_is_a_data_error_at_its_position():
+    """Channels of finite inputs can overflow; the sum's inf is reported like bad input."""
+    message = r"^series values contains a non-finite value at position 1$"
+    with np.errstate(over="ignore"), pytest.raises(DataError, match=message):
+        sum_diff_channels([1e308, 1.0], [1e308, 1.0])
+    x = np.ones(70)
+    x[0] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(DataError, match=message):
+        step_skipping_mode(x, x.copy(), skip=("mean", "variance"))
+
+
+@pytest.mark.parametrize("prewhiten", ["none", "ip4"])
+def test_derived_series_are_checked_read_only_and_share_the_input_labels(canonical, prewhiten):
+    x, y, _ = canonical
+    params = DetectionParams(p=0.05, l=20, prewhiten=prewhiten, m=None if prewhiten == "none" else 10)
+    res = run_srsd(x, y, params)
+    labels = x.labels if prewhiten == "none" else x.labels[1:]
+    derived = [res.x, res.y]
+    derived += [r.series for r in (*res.mean_results, *res.variance_results)]
+    derived += [res.correlation.sum_channel.series, res.correlation.diff_channel.series]
+    derived += sum_diff_channels(*(r.series for r in res.variance_results))
+    for s in derived:
+        assert s == TimeSeries(s.values, labels=s.labels, name=s.name)
+        assert s.values.flags.writeable is False
+        assert s.labels.flags.writeable is False
+        assert np.array_equal(s.labels, labels)
+
+
 def test_channel_variances_encode_segment_correlation():
     """On unit-variance segments, var(sum)/2 - 1 and 1 - var(diff)/2 both
     recover the segment's Pearson r. Long segments keep the sampling error
