@@ -240,7 +240,7 @@ def monitor(
 ) -> tuple[MonitorState, StepStatus]:
     """Advance a monitor of this kind by one observation.
 
-    A non-finite observation raises DataError and leaves the state as it was.
+    A DataError (a non-finite point, a zero index scale) leaves the state as it was.
     """
     if state.kind != kind.name:
         raise ParameterError(f"state belongs to a {state.kind!r} detector")
@@ -250,15 +250,16 @@ def monitor(
     l = len(state.window)
     if params.l != l:
         raise ParameterError(f"params.l={params.l} does not match monitor l={l}")
-    state.raw.append(raw_value)
     value = raw_value * raw_value if kind.squared else raw_value
     pend = state.pending
     if pend is None:
-        buf, base = [value], len(state.raw)
+        buf, base = [value], len(state.raw) + 1
     else:
         buf, base = pend.values, pend.index
         buf.append(value)
+    # _scan raises only before it changes the state, so raw takes the point after it.
     confirmed = _scan(state, kind.multiplicative, buf, base, len(buf) - 1)
+    state.raw.append(raw_value)
     pend = state.pending
     if pend is not None:
         return state, StepStatus("candidate", pend.index, pend.csum / state.index_scale)

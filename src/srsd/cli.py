@@ -141,25 +141,14 @@ def _shift_keys(regime_kind: str) -> dict[str, str]:
     return {"series": kind.series_name, "trace": kind.trace_name}
 
 
-def _to_obj(value: Any) -> Any:
-    """JSON form of a result value; a dataclass becomes an object in field order."""
-    if isinstance(value, TimeSeries):
-        labels = None if value.labels is None else value.labels.tolist()
-        return {"name": value.name, "values": value.values.tolist(), "labels": labels}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, (list, tuple)):
-        return [_to_obj(v) for v in value]
-    if is_dataclass(value):
-        keys = _shift_keys(value.regimes[0].kind) if isinstance(value, ShiftResult) else {}
-        return {keys.get(f.name, f.name): _to_obj(getattr(value, f.name)) for f in fields(value)}
-    return value
+def _fields(value: Any) -> dict[str, Any]:
+    """A result dataclass's fields by JSON key, in field order."""
+    keys = _shift_keys(value.regimes[0].kind) if isinstance(value, ShiftResult) else {}
+    return {keys.get(f.name, f.name): getattr(value, f.name) for f in fields(value)}
 
 
 def _from_obj(tp: Any, obj: Any) -> Any:
-    """Rebuild a value of type tp from its _to_obj form."""
+    """Rebuild a value of type tp from its JSON form."""
     if obj is None:
         return None
     origin = get_origin(tp)
@@ -180,17 +169,27 @@ def _from_obj(tp: Any, obj: Any) -> Any:
 
 
 def _write(value: Any, indent: str, out: list[str]) -> None:
-    """Append value's JSON to out in json.dumps's indent=2 layout; indent opens its line."""
+    """Append value's JSON to out in json.dumps's indent=2 layout; indent opens its line.
+
+    value is a plain JSON value or a result object: a TimeSeries, a dataclass,
+    a frozenset of strings or a non-empty float array.
+    """
+    if isinstance(value, TimeSeries):
+        value = {"name": value.name, "values": value.values, "labels": value.labels}
+    elif isinstance(value, frozenset):
+        value = sorted(value)
+    elif is_dataclass(value):
+        value = _fields(value)
+    inner = indent + "  "
+    if isinstance(value, np.ndarray):  # one C-encoder call; no float repr holds ", "
+        flat = json.dumps(value.tolist(), allow_nan=False)[1:-1].replace(", ", ",\n" + inner)
+        out += ("[\n", inner, flat, "\n", indent, "]")
+        return
     if not (isinstance(value, (dict, list, tuple)) and value):  # a scalar, {} or []
         out.append(json.dumps(value, allow_nan=False))
         return
-    inner = indent + "  "
     if isinstance(value, dict):
         brackets, items = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())
-    elif set(map(type, value)) == {float}:  # one C-encoder call; no float repr holds ", "
-        flat = json.dumps(value, allow_nan=False)[1:-1].replace(", ", ",\n" + inner)
-        out += ("[\n", inner, flat, "\n", indent, "]")
-        return
     else:
         brackets, items = "[]", (("", item) for item in value)
     out.append(brackets[0])
@@ -202,7 +201,7 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
 
 
 def _dumps(command: str, body: dict[str, Any]) -> str:
-    """A result file: the header, then body in its order."""
+    """A result file: the header, then body in its order; body holds what _write takes."""
     doc = {"schema_version": SCHEMA_VERSION, "tool": "srsd", "version": __version__}
     doc.update(command=command, **body)
     out: list[str] = []
@@ -217,7 +216,7 @@ _SRSD_KEYS = "params corr_params skipped ar1 x y mean_results variance_results c
 
 def result_to_json(result: SrsdResult, command: str = "detect-correlation") -> str:
     """Serialize a full pipeline result, intermediates and audit included."""
-    return _dumps(command, {key: _to_obj(getattr(result, key)) for key in _SRSD_KEYS})
+    return _dumps(command, {key: getattr(result, key) for key in _SRSD_KEYS})
 
 
 def result_from_json(text: str) -> SrsdResult:
@@ -238,8 +237,7 @@ def _single_to_json(
     ar1: Ar1Estimate | None,
     result: ShiftResult,
 ) -> str:
-    head = {"params": _to_obj(params), "series": _to_obj(series), "ar1": _to_obj(ar1)}
-    return _dumps(command, {**head, **_to_obj(result)})
+    return _dumps(command, {"params": params, "series": series, "ar1": ar1, **_fields(result)})
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,11 @@ def _run_pipeline(
     corr_params: DetectionParams | None,
     skip: frozenset[str],
 ) -> SrsdResult:
-    corr_params = params if corr_params is None else corr_params
+    if corr_params is None:
+        corr_params = params
+    elif corr_params.m is not None:  # prewhitening params always set m
+        name = "m" if corr_params.prewhiten == "none" else "prewhiten"
+        raise ParameterError(f"corr_params.{name} has no effect: prewhitening is set by params")
     xs, ys = _pair(x, y)
     (xs, est_x), (ys, est_y) = _prewhitened(xs, params), _prewhitened(ys, params)
     mean_x, mean_y = (_adjust(s, "mean", params, skip) for s in (xs, ys))
@@ -336,9 +340,9 @@ def run_srsd(
 ) -> SrsdResult:
     """Run the full three-step pipeline on a pair of series.
 
-    corr_params overrides the parameters of the correlation step only (the
-    channel scan often benefits from a different p or l than the mean and
-    variance steps); by default all steps share `params`.
+    corr_params overrides p and l of the correlation step (the channel scan
+    often benefits from other values than the mean and variance steps); it
+    raises ParameterError if it sets prewhiten or m, which `params` alone sets.
     """
     return _run_pipeline(x, y, params, corr_params, frozenset())
 

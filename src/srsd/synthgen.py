@@ -165,17 +165,12 @@ CANONICAL_EXPECTED: dict[str, tuple[int, ...]] = {
 def canonical_fixture() -> tuple[TimeSeries, TimeSeries, dict[str, tuple[int, ...]]]:
     """The frozen canonical realization and its planted change-points.
 
-    Loads the CSV shipped with the package (written by the `generate` CLI
-    command from `canonical_spec()`), so results are reproducible even if the
-    RNG stream ever changes.
+    Reads the CSV shipped with the package (written by the `generate` CLI
+    command from `canonical_spec()`) with the CLI's own reader, so results
+    are reproducible even if the RNG stream ever changes.
     """
-    path = resources.files("srsd").joinpath("data/canonical_fixture.csv")
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header != ["index", "x", "y"]:
-        raise DataError(f"unexpected fixture header: {header!r}")
-    rows = [line.split(",") for line in lines[1:]]
-    labels = [float(r[0]) for r in rows]
-    x = TimeSeries([float(r[1]) for r in rows], labels=labels, name="x")
-    y = TimeSeries([float(r[2]) for r in rows], labels=labels, name="y")
+    from .cli import parse_csv  # cli imports this module, so not at module level
+
+    with resources.as_file(resources.files("srsd") / "data/canonical_fixture.csv") as path:
+        x, y = parse_csv(str(path), ["x", "y"])
     return x, y, dict(CANONICAL_EXPECTED)

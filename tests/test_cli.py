@@ -358,9 +358,23 @@ def test_dumps_matches_standard_indent_2_layout(body):
     assert cli._dumps("detect-mean", body) == _reference_dumps("detect-mean", body)
 
 
-def test_dumps_matches_standard_layout_on_a_pipeline_result(canonical_result):
-    body = {key: cli._to_obj(getattr(canonical_result, key)) for key in cli._SRSD_KEYS}
-    assert cli._dumps("detect-correlation", body) == _reference_dumps("detect-correlation", body)
+def test_dumps_matches_standard_layout_on_a_pipeline_result(canonical, canonical_result):
+    """The writer walks the result objects; the standard encoder re-lays out the same JSON."""
+    x, y, _ = canonical
+    prewhitened = srsd.step_skipping_mode(x, y, DetectionParams(prewhiten="ip4", m=10), ["mean"])
+    for result in (canonical_result, prewhitened):
+        text = result_to_json(result)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["detect-mean", "detect-variance"])
+def test_single_detector_file_matches_standard_layout(canonical, command):
+    x, _, _ = canonical
+    params = DetectionParams(prewhiten="ip4", m=10)
+    series, ar1 = srsd.pipeline._prewhitened(x, params)
+    detect = srsd.detect_mean if command == "detect-mean" else srsd.detect_variance
+    text = cli._single_to_json(command, params, series, ar1, detect(series, params))
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

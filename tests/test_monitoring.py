@@ -308,6 +308,19 @@ def test_monitor_rejects_non_finite_observations_and_stays_usable(kind, bad):
     assert state == twin
 
 
+def test_monitor_step_on_a_zero_index_scale_raises_and_changes_nothing():
+    """The degenerate-series error leaves raw as it was, so positions stay right."""
+    params = DetectionParams(l=5)
+    state = init_mean_monitor([1.0] * 5, params)
+    assert state.index_scale == 0.0
+    twin = copy.deepcopy(state)
+    with pytest.raises(DataError, match="shift index scale is zero"):
+        monitor_mean(state, 2.0, params)
+    assert state == twin
+    with pytest.raises(DataError, match="at position 6 is not finite"):
+        monitor_mean(state, float("nan"), params)
+
+
 @pytest.mark.parametrize("kind", ["mean", "variance"])
 def test_monitor_state_grows_only_by_the_fed_points_and_change_points(kind):
     """Memory per point is one raw value; the window and a candidate stay within l."""

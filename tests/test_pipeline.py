@@ -462,6 +462,22 @@ def test_per_step_parameter_override(canonical):
     assert res.params == DetectionParams()
 
 
+@pytest.mark.parametrize(
+    "corr_params, field",
+    [
+        (DetectionParams(prewhiten="ip4", m=10), "prewhiten"),
+        (DetectionParams(prewhiten="mpk", m=12), "prewhiten"),
+        (DetectionParams(m=10), "m"),
+    ],
+)
+@pytest.mark.parametrize("entry", [run_srsd, step_skipping_mode])
+def test_corr_params_prewhitening_is_rejected(canonical, entry, corr_params, field):
+    """The correlation step scans the series params prewhitened; corr_params cannot."""
+    x, y, _ = canonical
+    with pytest.raises(ParameterError, match=rf"corr_params\.{field} has no effect"):
+        entry(x, y, corr_params=corr_params)
+
+
 def test_pipeline_error_paths():
     with pytest.raises(DataError):
         run_srsd([1.0] * 30, [2.0] * 31)

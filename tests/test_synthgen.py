@@ -1,6 +1,7 @@
 """Seeded bivariate generator with piecewise mean/variance/correlation."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_fixture_regenerates_from_seed(canonical):
     gx, gy = generate_pair(canonical_spec())
     assert [float(f"{v:.9g}") for v in gx.values] == x.values.tolist()
     assert [float(f"{v:.9g}") for v in gy.values] == y.values.tolist()
+
+
+def test_fixture_equals_a_literal_read_of_the_packaged_csv(canonical):
+    """canonical_fixture reads the CSV through cli.parse_csv; a row-by-row read agrees."""
+    text = resources.files("srsd").joinpath("data/canonical_fixture.csv").read_text()
+    lines = text.strip().splitlines()
+    assert lines[0].split(",") == ["index", "x", "y"]
+    rows = [line.split(",") for line in lines[1:]]
+    columns = [np.array([float(r[k]) for r in rows]) for k in range(3)]
+    x, y, _ = canonical
+    for series, name, values in ((x, "x", columns[1]), (y, "y", columns[2])):
+        assert series.name == name
+        assert series.values.tobytes() == values.tobytes()
+        assert series.labels.tobytes() == columns[0].tobytes()
 
 
 def test_fixture_is_cached_consistently():
