@@ -75,8 +75,6 @@ class Kind:
     span_test: p-value of the shift between two adjacent regimes, given the
         scanned values of each; both hold at least 4 points.
     output: the input series adjusted by the regime statistics.
-    series_name, trace_name: what results, files and traces call the output
-        series and the shift-index trace.
     """
 
     name: Literal["mean", "variance"]
@@ -84,13 +82,10 @@ class Kind:
     multiplicative: bool
     span_test: Callable[[np.ndarray, np.ndarray], float | None]
     output: Callable[[np.ndarray, list[Regime]], np.ndarray]
-    series_name: str
-    trace_name: str
 
 
-MEAN = Kind("mean", False, False, _pooled_t_p, _detrend, "residuals", "rsi")
-VARIANCE = Kind("variance", True, True, _variance_ratio_p, _normalize, "normalized", "rssi")
-KINDS = {kind.name: kind for kind in (MEAN, VARIANCE)}
+MEAN = Kind("mean", False, False, _pooled_t_p, _detrend)
+VARIANCE = Kind("variance", True, True, _variance_ratio_p, _normalize)
 
 
 @dataclass

@@ -38,7 +38,7 @@ from typing import Any, Iterable, Sequence, Union, get_args, get_origin, get_typ
 import numpy as np
 
 from . import __version__
-from ._engine import KINDS, ShiftResult
+from ._engine import ShiftResult
 from .core import (
     ChangePoint,
     DataError,
@@ -135,15 +135,16 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
 _field_types = functools.cache(get_type_hints)
 
 
-def _shift_keys(regime_kind: str) -> dict[str, str]:
-    """JSON keys of a ShiftResult's series and trace: named after its detector."""
-    kind = KINDS[regime_kind]
-    return {"series": kind.series_name, "trace": kind.trace_name}
+# JSON keys of a ShiftResult's series and trace, by the kind of its regimes.
+_SHIFT_KEYS = {
+    "mean": {"series": "residuals", "trace": "rsi"},
+    "variance": {"series": "normalized", "trace": "rssi"},
+}
 
 
 def _fields(value: Any) -> dict[str, Any]:
     """A result dataclass's fields by JSON key, in field order."""
-    keys = _shift_keys(value.regimes[0].kind) if isinstance(value, ShiftResult) else {}
+    keys = _SHIFT_KEYS[value.regimes[0].kind] if isinstance(value, ShiftResult) else {}
     return {keys.get(f.name, f.name): getattr(value, f.name) for f in fields(value)}
 
 
@@ -158,10 +159,8 @@ def _from_obj(tp: Any, obj: Any) -> Any:
         return origin(_from_obj(get_args(tp)[0], v) for v in obj)
     if tp is TimeSeries:
         return TimeSeries(obj["values"], labels=obj["labels"], name=obj["name"])
-    if tp is np.ndarray:
-        return np.asarray(obj, dtype=float)
     if is_dataclass(tp):
-        keys = _shift_keys(obj["regimes"][0]["kind"]) if tp is ShiftResult else {}
+        keys = _SHIFT_KEYS[obj["regimes"][0]["kind"]] if tp is ShiftResult else {}
         types = _field_types(tp)
         names = [f.name for f in fields(tp) if f.init]  # a derived field is not passed
         return tp(**{name: _from_obj(types[name], obj[keys.get(name, name)]) for name in names})
@@ -214,20 +213,28 @@ def _dumps(command: str, body: dict[str, Any]) -> str:
 _SRSD_KEYS = "params corr_params skipped ar1 x y mean_results variance_results correlation".split()
 
 
-def result_to_json(result: SrsdResult, command: str = "detect-correlation") -> str:
+def result_to_json(result: SrsdResult) -> str:
     """Serialize a full pipeline result, intermediates and audit included."""
-    return _dumps(command, {key: getattr(result, key) for key in _SRSD_KEYS})
+    return _dumps("detect-correlation", {key: getattr(result, key) for key in _SRSD_KEYS})
 
 
 def result_from_json(text: str) -> SrsdResult:
-    """Rebuild the SrsdResult a result file describes; inverse of result_to_json."""
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported schema_version {doc.get('schema_version')!r}; "
-            f"expected {SCHEMA_VERSION!r}"
-        )
-    return _from_obj(SrsdResult, doc)
+    """Rebuild the SrsdResult a result file describes; inverse of result_to_json.
+
+    Text that is not a result file raises DataError.
+    """
+    try:
+        doc = json.loads(text)
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise DataError(
+                f"unsupported schema_version {doc.get('schema_version')!r}; "
+                f"expected {SCHEMA_VERSION!r}"
+            )
+        return _from_obj(SrsdResult, doc)
+    except (DataError, ParameterError):  # a content check's own error
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"not an srsd result file: {type(exc).__name__}: {exc}") from None
 
 
 def _single_to_json(
@@ -276,15 +283,15 @@ def _row(record: Regime | ChangePoint | CandidateRecord, **cells: Any) -> list[A
 
 
 def _table_rows(
-    series_name: str,
+    name: str,
     regimes: Sequence[Regime],
     change_points: Sequence[ChangePoint],
     candidates: Sequence[CandidateRecord] = (),
 ) -> list[list[Any]]:
-    kind = regimes[0].kind if regimes else ""
+    kind = regimes[0].kind
     return (
-        [_row(r, series=series_name) for r in regimes]
-        + [_row(c, series=series_name, kind=kind) for c in change_points]
+        [_row(r, series=name) for r in regimes]
+        + [_row(c, series=name, kind=kind) for c in change_points]
         + [_row(c, kind="correlation") for c in candidates]
     )
 
@@ -293,7 +300,7 @@ def _srsd_to_csv(result: SrsdResult) -> str:
     rows: list[list[Any]] = []
     for results in (result.mean_results, result.variance_results):
         for series, res in zip((result.x, result.y), results):
-            rows += _table_rows(series.name or "series", res.regimes, res.change_points)
+            rows += _table_rows(series.name, res.regimes, res.change_points)
     corr = result.correlation
     rows += _table_rows("correlation", corr.regimes, corr.change_points, corr.candidates)
     return _csv(_TABLE_HEADER, rows)
@@ -336,7 +343,7 @@ def _columns(args: argparse.Namespace, expected: int) -> list[str]:
     return names
 
 
-def _cmd_detect_single(args: argparse.Namespace) -> int:
+def _cmd_detect_single(args: argparse.Namespace) -> None:
     params = _params_from_args(args)
     (series,) = parse_csv(args.input, _columns(args, 1))
     series, ar1 = _prewhitened(series, params)
@@ -345,10 +352,9 @@ def _cmd_detect_single(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = _single_to_json(args.command, params, series, ar1, res)
     else:
-        rows = _table_rows(series.name or "series", res.regimes, res.change_points)
+        rows = _table_rows(series.name, res.regimes, res.change_points)
         text = _csv(_TABLE_HEADER, rows)
     _write_output(args.output, text)
-    return 0
 
 
 def _run_pair(args: argparse.Namespace) -> SrsdResult:
@@ -357,11 +363,10 @@ def _run_pair(args: argparse.Namespace) -> SrsdResult:
     return run_srsd(x, y, params, corr_params=_corr_params_from_args(args, params))
 
 
-def _cmd_detect_correlation(args: argparse.Namespace) -> int:
+def _cmd_detect_correlation(args: argparse.Namespace) -> None:
     result = _run_pair(args)
     text = result_to_json(result) if args.format == "json" else _srsd_to_csv(result)
     _write_output(args.output, text)
-    return 0
 
 
 def _spec_from_file(path: str, seed: int) -> RegimeSpec:
@@ -383,7 +388,7 @@ def _spec_from_file(path: str, seed: int) -> RegimeSpec:
     return RegimeSpec(doc["n"], **{key: doc[key] for key in keys if key in doc}, seed=seed)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> None:
     seed = args.seed
     env_seed = os.environ.get("SRSD_SEED")
     if env_seed is not None:
@@ -395,7 +400,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     x, y = generate_pair(spec)
     rows = zip(range(1, len(x) + 1), x.values.tolist(), y.values.tolist())
     _write_output(args.output, _csv("index,x,y", rows))
-    return 0
 
 
 def _running_correlation(x: np.ndarray, y: np.ndarray, window: int) -> list[float | None]:
@@ -403,7 +407,7 @@ def _running_correlation(x: np.ndarray, y: np.ndarray, window: int) -> list[floa
     return [_pearson(x[s : s + window], y[s : s + window]) for s in range(len(x) - window + 1)]
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
+def _cmd_diagnose(args: argparse.Namespace) -> None:
     result = _run_pair(args)
     n = len(result.x)
     if not 2 <= args.window <= n:
@@ -416,7 +420,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     if args.traces:
         trace_rows = []
-        names = (result.x.name or "x", result.y.name or "y")
+        names = (result.x.name, result.y.name)
         named = [
             *zip(names, result.mean_results),
             *zip(names, result.variance_results),
@@ -426,12 +430,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         for name, res in named:
             if res is None:
                 continue
-            detector = KINDS[res.regimes[0].kind].trace_name
+            detector = _SHIFT_KEYS[res.regimes[0].kind]["trace"]
             trace_rows += [
                 (name, detector, i, value) for i, value in enumerate(res.trace.tolist(), start=1)
             ]
         _write_output(args.traces, _csv("series,detector,index,value", trace_rows))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +486,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"srsd {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, n_columns, helptext in (
-        ("detect-mean", 1, "detect mean shifts in one column"),
-        ("detect-variance", 1, "detect variance shifts in one column"),
-        ("detect-correlation", 2, "run the full three-step pipeline on two columns"),
+    for name, n_columns, run, helptext in (
+        ("detect-mean", 1, _cmd_detect_single, "detect mean shifts in one column"),
+        ("detect-variance", 1, _cmd_detect_single, "detect variance shifts in one column"),
+        (
+            "detect-correlation",
+            2,
+            _cmd_detect_correlation,
+            "run the full three-step pipeline on two columns",
+        ),
     ):
         sub = commands.add_parser(name, help=helptext)
+        sub.set_defaults(run=run)
         _add_io(sub, n_columns)
         _add_params(sub, corr=n_columns == 2)
         sub.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = commands.add_parser("generate", help="write a synthetic bivariate CSV")
+    sub.set_defaults(run=_cmd_generate)
     sub.add_argument("--seed", type=int, default=0, help="generator seed (SRSD_SEED overrides)")
     sub.add_argument(
         "--spec",
@@ -505,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser(
         "diagnose", help="emit running correlations (and optional RSI/RSSI traces)"
     )
+    sub.set_defaults(run=_cmd_diagnose)
     _add_io(sub, 2)
     _add_params(sub, corr=True)
     sub.add_argument(
@@ -516,26 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "detect-mean": _cmd_detect_single,
-    "detect-variance": _cmd_detect_single,
-    "detect-correlation": _cmd_detect_correlation,
-    "generate": _cmd_generate,
-    "diagnose": _cmd_diagnose,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        args.run(args)
     except ParameterError as exc:
         sys.stderr.write(f"srsd: usage error: {exc}\n")
         return 1
     except DataError as exc:
         sys.stderr.write(f"srsd: data error: {exc}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

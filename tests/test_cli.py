@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 from importlib import resources
 
 import numpy as np
@@ -67,6 +68,20 @@ def test_parse_csv_missing_column(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DataError, match="nope"):
         parse_csv(str(path), ["nope"])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "file is empty"), ("a,b,a\n1,2,3\n", "column 'a' appears twice in the header")],
+    ids=["empty_file", "duplicate_column"],
+)
+def test_parse_csv_rejects_an_unusable_header(tmp_path, capsys, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        parse_csv(str(path), ["a"])
+    assert run_cli("detect-mean", path, "--columns", "a") == 2
+    assert capsys.readouterr().err == f"srsd: data error: {path}: {message}\n"
 
 
 def test_parse_csv_ragged_row(tmp_path):
@@ -313,6 +328,51 @@ def test_json_rejects_unknown_schema(canonical):
         result_from_json(json.dumps(obj))
 
 
+# Each edit turns a result file into text that is not one; the error names what broke.
+NOT_RESULT_FILES = {
+    "missing_key": (lambda doc: doc.pop("x"), "KeyError: 'x'"),
+    "string_regimes": (lambda doc: doc["correlation"].update(regimes="1-70"), "TypeError"),
+    "truncated": ("{", "JSONDecodeError"),
+    "list": ("[]", "AttributeError: 'list' object has no attribute 'get'"),
+    "no_regimes": (lambda doc: doc["mean_results"][0].update(regimes=[]), "IndexError"),
+    "string_values": (lambda doc: doc["x"].update(values=["a"] * 70), "ValueError"),
+}
+
+
+@pytest.mark.parametrize("edit, error", NOT_RESULT_FILES.values(), ids=NOT_RESULT_FILES)
+def test_result_from_json_rejects_text_that_is_not_a_result_file(canonical_result, edit, error):
+    if isinstance(edit, str):
+        text = edit
+    else:
+        doc = json.loads(result_to_json(canonical_result))
+        edit(doc)
+        text = json.dumps(doc)
+    with pytest.raises(DataError, match=re.escape(f"not an srsd result file: {error}")):
+        result_from_json(text)
+
+
+# The default correlation step finds change-points 36 and 64 on the fixture.
+@pytest.mark.parametrize(
+    "flags, corr, found",
+    [
+        (["--p-corr", "0.1", "--l-corr", "25"], (0.1, 25), [33, 64]),
+        (["--l-corr", "10"], (0.05, 10), [36, 49, 64]),  # p falls back to --p
+    ],
+    ids=["both", "l_only"],
+)
+def test_correlation_step_parameters(canonical, fixture_csv, capsys, flags, corr, found):
+    assert run_cli("detect-correlation", fixture_csv, "--columns", "x,y", *flags) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    obj = json.loads(out)
+    assert (obj["corr_params"]["p"], obj["corr_params"]["l"]) == corr
+    assert [cp["index"] for cp in obj["correlation"]["change_points"]] == found
+    x, y, _ = canonical
+    expected = run_srsd(x, y, DetectionParams(), corr_params=DetectionParams(*corr))
+    assert [cp.index for cp in expected.correlation.change_points] == found
+    assert out == result_to_json(expected)
+
+
 def test_single_detector_json_shape(fixture_csv, capsys):
     assert run_cli("detect-mean", fixture_csv, "--columns", "x") == 0
     obj = json.loads(capsys.readouterr().out)
@@ -513,6 +573,36 @@ def test_generate_malformed_spec_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (None, "cannot read {path}: No such file or directory"),
+        ("{", "{path}: invalid JSON (Expecting property name enclosed in double quotes"),
+        ("[70]", "{path}: spec must be a JSON object with at least 'n'"),
+        ('{"n": 70}', "{path}: spec requires a 'correlation' segment list"),
+    ],
+    ids=["missing_file", "invalid_json", "list", "no_correlation"],
+)
+def test_generate_unusable_spec_file_is_a_data_error(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "spec.json"
+    if spec is not None:
+        spec_path.write_text(spec)
+    out = tmp_path / "gen.csv"
+    assert run_cli("generate", "--spec", spec_path, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("srsd: data error: " + message.format(path=spec_path))
+    assert not out.exists()
+
+
+def test_generate_non_integer_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SRSD_SEED", "4580.0")
+    out = tmp_path / "gen.csv"
+    assert run_cli("generate", "--output", out) == 1
+    err = capsys.readouterr().err
+    assert err == "srsd: usage error: SRSD_SEED must be an integer, got '4580.0'\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -549,6 +639,28 @@ def test_diagnose_traces(tmp_path, fixture_csv, capsys):
         ("diff", "rssi"),
     }
     assert len(lines) - 1 == 6 * 70
+
+
+def test_diagnose_traces_of_identical_series_skip_the_degenerate_channels(tmp_path, capsys):
+    x, _, _ = srsd.canonical_fixture()
+    path = tmp_path / "same.csv"
+    path.write_text("a,b\n" + "".join(f"{v!r},{v!r}\n" for v in x.values.tolist()))
+    traces = tmp_path / "traces.csv"
+    assert run_cli("diagnose", path, "--columns", "a,b", "--traces", traces) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in traces.read_text().splitlines()[1:]]
+    # x - y is zero, so the correlation is 1 throughout and neither channel is scanned.
+    labels = [(series, detector) for series, detector, _, _ in rows]
+    assert labels == [(s, d) for d in ("rsi", "rssi") for s in ("a", "b") for _ in range(70)]
+
+
+@pytest.mark.parametrize("window", [1, 71])
+def test_diagnose_window_outside_the_series_is_a_usage_error(fixture_csv, capsys, window):
+    code = run_cli("diagnose", fixture_csv, "--columns", "x,y", "--window", window)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"srsd: usage error: --window must lie in [2, 70], got {window}\n"
 
 
 def test_diagnose_leaves_constant_windows_empty(tmp_path, canonical, capsys):

@@ -1,5 +1,6 @@
 """The public surface, and the module attributes the traced benchmark wraps."""
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import srsd
+from srsd import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -194,6 +196,32 @@ def test_public_parameters_are_frozen():
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
     assert parameters == PUBLIC_PARAMETERS
+
+
+# srsd.cli's own surface, frozen the same way: its names and their parameters.
+CLI_PARAMETERS = {
+    "main": ["argv"],
+    "parse_csv": ["path", "columns"],
+    "result_to_json": ["result"],
+    "result_from_json": ["text"],
+}
+
+
+def test_cli_surface_is_frozen():
+    assert cli.__all__ == list(CLI_PARAMETERS)
+    signatures = {name: inspect.signature(getattr(cli, name)) for name in cli.__all__}
+    assert {name: list(sig.parameters) for name, sig in signatures.items()} == CLI_PARAMETERS
+
+
+def test_every_cli_subcommand_parses_to_a_handler():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert commands.choices
+    for name, sub in commands.choices.items():
+        # The subcommand and a placeholder for each required argument; parsing reads no file.
+        required = [a for a in sub._actions if a.required]
+        argv = [name, *(word for a in required for word in (*a.option_strings[:1], "x"))]
+        assert callable(getattr(parser.parse_args(argv), "run", None)), name
 
 
 @pytest.mark.parametrize("module_name, attr", BENCH_PATCHES, ids="{0[0]}.{0[1]}".format)
