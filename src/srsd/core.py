@@ -21,7 +21,6 @@ __all__ = [
     "ChangePoint",
     "MonitorState",
     "StepStatus",
-    "regimes_to_stepwise",
 ]
 
 PrewhitenMethod = Literal["none", "mpk", "ip4"]
@@ -260,38 +259,7 @@ class StepStatus:
     change_point: ChangePoint | None = None
 
 
-def _check_partition(series_length: int, regimes: Sequence[Regime]) -> list[Regime]:
-    if series_length < 1:
-        raise DataError(f"series_length must be positive, got {series_length}")
-    if not regimes:
-        raise DataError("regime list is empty")
-    ordered = sorted(regimes, key=lambda r: r.start)
-    if ordered[0].start != 1:
-        raise DataError(f"first regime starts at {ordered[0].start}, expected 1")
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.start != prev.end + 1:
-            kind = "overlap" if cur.start <= prev.end else "gap"
-            raise DataError(
-                f"regime {kind} between [{prev.start},{prev.end}] and "
-                f"[{cur.start},{cur.end}]"
-            )
-    if ordered[-1].end != series_length:
-        raise DataError(
-            f"last regime ends at {ordered[-1].end}, expected {series_length}"
-        )
-    return ordered
-
-
 def _stepwise(regimes: Sequence[Regime]) -> np.ndarray:
     """Each regime's statistic repeated over its span; the regimes partition the series."""
     values = np.array([r.value for r in regimes], dtype=float)
     return np.repeat(values, [r.length for r in regimes])
-
-
-def regimes_to_stepwise(series_length: int, regimes: Sequence[Regime]) -> np.ndarray:
-    """Expand a regime partition into a stepwise series of regime values.
-
-    The regimes must exactly partition [1, series_length]; gaps and overlaps
-    raise DataError.
-    """
-    return _stepwise(_check_partition(series_length, regimes))

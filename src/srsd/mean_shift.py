@@ -27,16 +27,12 @@ from .core import (
 from .stats import running_avg_variance, student_t_quantile
 
 __all__ = [
-    "MeanShiftResult",
     "threshold_delta",
     "detect_mean",
     "init_mean_monitor",
     "monitor_mean",
     "finalize_mean",
 ]
-
-MeanShiftResult = ShiftResult
-
 
 def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     """Smallest regime-mean difference treated as a shift.
@@ -53,7 +49,7 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
 
 def detect_mean(
     series: TimeSeries | Sequence[float], params: DetectionParams = DetectionParams()
-) -> MeanShiftResult:
+) -> ShiftResult:
     """Detect all mean shifts in a series.
 
     Returns the regime partition, confirmed change-points (provisional when
@@ -89,7 +85,7 @@ def monitor_mean(
     return _engine.monitor(MEAN, state, new_value, params)
 
 
-def finalize_mean(series: TimeSeries | Sequence[float], state: MonitorState) -> MeanShiftResult:
+def finalize_mean(series: TimeSeries | Sequence[float], state: MonitorState) -> ShiftResult:
     """Build the batch-equivalent result from a stream-fed monitor state.
 
     series must hold exactly the monitored points; any other raises DataError.

@@ -36,7 +36,7 @@ from .core import (
 )
 from .mean_shift import detect_mean
 from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
-from .stats import _pearson, fisher_ci, fisher_compare
+from .stats import _fisher_z_p, _pearson, fisher_ci
 from .variance_shift import detect_variance
 
 __all__ = [
@@ -121,7 +121,7 @@ def _split_p_value(span_r: SpanR, index: int, left: int, right: int) -> float | 
     r_right = span_r(index, right)
     if r_left is None or r_right is None or abs(r_left) >= 1.0 or abs(r_right) >= 1.0:
         return None
-    return fisher_compare(r_left, n_left, r_right, n_right).p_value
+    return _fisher_z_p(r_left, n_left, r_right, n_right)[1]
 
 
 def _merge_candidates(

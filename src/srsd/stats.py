@@ -25,7 +25,6 @@ __all__ = [
     "CorrelationComparison",
     "fisher_compare",
     "fisher_ci",
-    "first_differences",
 ]
 
 
@@ -121,10 +120,15 @@ def fisher_compare(r1: float, n1: int, r2: float, n2: int) -> CorrelationCompari
     """
     _check_fisher_args(r1, n1, "first sample")
     _check_fisher_args(r2, n2, "second sample")
+    z, p = _fisher_z_p(r1, n1, r2, n2)
+    return CorrelationComparison(r1=r1, n1=n1, r2=r2, n2=n2, z=z, p_value=p)
+
+
+def _fisher_z_p(r1: float, n1: int, r2: float, n2: int) -> tuple[float, float]:
+    """Fisher's z and its two-tailed p-value, for n >= 4 and |r| < 1 already checked."""
     se = math.sqrt(1.0 / (n1 - 3) + 1.0 / (n2 - 3))
     z = (math.atanh(r1) - math.atanh(r2)) / se
-    p = math.erfc(abs(z) / math.sqrt(2.0))
-    return CorrelationComparison(r1=r1, n1=n1, r2=r2, n2=n2, z=z, p_value=p)
+    return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def fisher_ci(r: float, n: int, confidence: float = 0.90) -> tuple[float, float]:
@@ -135,15 +139,6 @@ def fisher_ci(r: float, n: int, confidence: float = 0.90) -> tuple[float, float]
     half = z_crit / math.sqrt(n - 3)
     center = math.atanh(r)
     return (math.tanh(center - half), math.tanh(center + half))
-
-
-def first_differences(series: TimeSeries | Sequence[float]) -> TimeSeries:
-    """Series of consecutive differences; drops the first observation's slot."""
-    ts = as_series(series)
-    if len(ts) < 2:
-        raise DataError("first differences require at least 2 observations")
-    labels = ts.labels[1:] if ts.labels is not None else None
-    return TimeSeries._derived(np.diff(ts.values), labels, ts.name)
 
 
 def _pooled_t_p(a: np.ndarray, b: np.ndarray) -> float | None:

@@ -30,16 +30,12 @@ from .core import (
 from .stats import f_quantile
 
 __all__ = [
-    "VarianceShiftResult",
     "critical_variances",
     "detect_variance",
     "init_variance_monitor",
     "monitor_variance",
     "finalize_variance",
 ]
-
-VarianceShiftResult = ShiftResult
-
 
 def critical_variances(current_variance: float, params: DetectionParams) -> tuple[float, float]:
     """Upper and lower critical variances around the open regime's variance.
@@ -55,7 +51,7 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
 
 def detect_variance(
     residuals: TimeSeries | Sequence[float], params: DetectionParams = DetectionParams()
-) -> VarianceShiftResult:
+) -> ShiftResult:
     """Detect all variance shifts in a zero-mean residual series.
 
     Returns the regime partition, change-points, the residuals normalized by
@@ -84,7 +80,7 @@ def monitor_variance(
 
 def finalize_variance(
     residuals: TimeSeries | Sequence[float], state: MonitorState
-) -> VarianceShiftResult:
+) -> ShiftResult:
     """Build the batch-equivalent result from a stream-fed monitor state.
 
     residuals must hold exactly the monitored points; any other raises DataError.

@@ -16,7 +16,6 @@ from srsd import (
     TimeSeries,
     detect_mean,
     detect_variance,
-    regimes_to_stepwise,
 )
 
 
@@ -42,6 +41,11 @@ def test_time_series_equality_includes_labels_and_name():
 def test_time_series_rejects_empty_input():
     with pytest.raises(DataError):
         TimeSeries([])
+
+
+def test_time_series_rejects_a_two_dimensional_input():
+    with pytest.raises(DataError, match="one-dimensional"):
+        TimeSeries([[1.0, 2.0]])
 
 
 def test_time_series_rejects_non_finite_values():
@@ -129,27 +133,16 @@ def test_prewhitening_m_bounds():
 
 
 # ---------------------------------------------------------------------------
-# Regime / stepwise reconstruction
+# Regime
 
 
 def test_regime_length_is_inclusive():
     assert Regime(start=3, end=7, kind="mean", value=1.5).length == 5
 
 
-def test_regimes_to_stepwise_builds_piecewise_constant():
-    for first, second in ((2.0, -1.0), (2, -1)):  # integer values still give floats
-        regimes = [
-            Regime(start=1, end=3, kind="mean", value=first),
-            Regime(start=4, end=6, kind="mean", value=second),
-        ]
-        out = regimes_to_stepwise(6, regimes)
-        assert out.dtype == np.float64
-        assert out.tolist() == [2.0, 2.0, 2.0, -1.0, -1.0, -1.0]
-
-
-def test_regimes_to_stepwise_rejects_gaps():
-    with pytest.raises(DataError):
-        regimes_to_stepwise(6, [Regime(start=1, end=2, kind="mean", value=2.0)])
+def test_regime_rejects_an_end_before_its_start():
+    with pytest.raises(DataError, match=r"invalid regime span \[3, 2\]"):
+        Regime(start=3, end=2, kind="mean", value=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +179,7 @@ def test_mean_regimes_partition_the_series(seed, n, shift):
             assert cp.index not in confirmed
 
     # Residuals are the input minus the stepwise regime means.
-    stepwise = regimes_to_stepwise(n, res.regimes)
+    stepwise = np.repeat([r.value for r in res.regimes], [r.length for r in res.regimes])
     assert np.allclose(res.residuals.values, values - stepwise, atol=1e-12)
 
     # Residuals are centered within every regime.

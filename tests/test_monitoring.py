@@ -178,6 +178,8 @@ def test_monitor_rejects_foreign_state():
         monitor_variance(mean_state, 0.1, params)
     with pytest.raises(ParameterError):
         monitor_mean(var_state, 0.1, params)
+    with pytest.raises(ParameterError, match="belongs to a 'variance' detector"):
+        finalize_mean(var_state.raw, var_state)
 
 
 @pytest.mark.parametrize("kind", ["mean", "variance"])

@@ -483,3 +483,5 @@ def test_pipeline_error_paths():
         run_srsd([1.0] * 30, [2.0] * 31)
     with pytest.raises(ParameterError):
         step_skipping_mode([1.0] * 30, [2.0] * 30, skip=("bogus",))
+    with pytest.raises(DataError, match="identically zero"):
+        detect_correlation([0.0] * 30, [0.0] * 30)

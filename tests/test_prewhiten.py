@@ -74,6 +74,16 @@ def test_estimate_requires_minimum_subsample():
         estimate_ar1(rng.standard_normal(6), 10, "mpk")
 
 
+def test_estimate_rejects_an_unknown_method_a_float_m_and_a_constant_series():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="method must be 'mpk' or 'ip4'"):
+        estimate_ar1(rng.standard_normal(30), 10, "ols")
+    with pytest.raises(ParameterError, match="m must be an integer"):
+        estimate_ar1(rng.standard_normal(30), 10.0, "mpk")
+    with pytest.raises(DataError, match="every subsample is constant"):
+        estimate_ar1([2.0] * 30, 10, "ip4")
+
+
 def test_subsample_count_is_sliding():
     rng = np.random.default_rng(1)
     est = estimate_ar1(rng.standard_normal(12), 5, "mpk")

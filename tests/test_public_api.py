@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "StepStatus",
     "ParameterError",
     "DataError",
-    "regimes_to_stepwise",
     "student_t_quantile",
     "f_quantile",
     "running_avg_variance",
@@ -39,14 +38,11 @@ PUBLIC_NAMES = [
     "CorrelationComparison",
     "fisher_compare",
     "fisher_ci",
-    "first_differences",
-    "MeanShiftResult",
     "threshold_delta",
     "detect_mean",
     "init_mean_monitor",
     "monitor_mean",
     "finalize_mean",
-    "VarianceShiftResult",
     "critical_variances",
     "detect_variance",
     "init_variance_monitor",
@@ -88,7 +84,6 @@ PUBLIC_PARAMETERS = {
         "change_points",
     ],
     "StepStatus": ["state", "candidate_index", "index_value", "change_point"],
-    "regimes_to_stepwise": ["series_length", "regimes"],
     "student_t_quantile": ["prob", "df"],
     "f_quantile": ["prob", "df1", "df2"],
     "running_avg_variance": ["series", "l"],
@@ -96,14 +91,11 @@ PUBLIC_PARAMETERS = {
     "CorrelationComparison": ["r1", "n1", "r2", "n2", "z", "p_value"],
     "fisher_compare": ["r1", "n1", "r2", "n2"],
     "fisher_ci": ["r", "n", "confidence"],
-    "first_differences": ["series"],
-    "MeanShiftResult": ["regimes", "change_points", "series"],
     "threshold_delta": ["params", "avg_var"],
     "detect_mean": ["series", "params"],
     "init_mean_monitor": ["history", "params", "avg_var"],
     "monitor_mean": ["state", "new_value", "params"],
     "finalize_mean": ["series", "state"],
-    "VarianceShiftResult": ["regimes", "change_points", "series"],
     "critical_variances": ["current_variance", "params"],
     "detect_variance": ["residuals", "params"],
     "init_variance_monitor": ["history", "params"],
@@ -167,6 +159,13 @@ def test_every_public_name_imports(name):
 def test_public_surface_is_frozen():
     assert len(set(srsd.__all__)) == len(srsd.__all__)
     assert sorted(srsd.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_each_public_object_has_one_name():
+    names = {}
+    for name in srsd.__all__:
+        names.setdefault(id(getattr(srsd, name)), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
 
 
 # The modules whose __all__ srsd re-exports, in its order.

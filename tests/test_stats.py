@@ -19,9 +19,7 @@ from scipy import stats as sps
 from srsd import (
     DataError,
     ParameterError,
-    TimeSeries,
     f_quantile,
-    first_differences,
     fisher_ci,
     fisher_compare,
     pearson_r,
@@ -165,6 +163,11 @@ def test_running_avg_variance_needs_full_window():
         running_avg_variance([1.0, 2.0], 3)
 
 
+def test_running_avg_variance_needs_two_point_windows():
+    with pytest.raises(ParameterError, match="at least 2, got 1"):
+        running_avg_variance([1.0, 2.0, 3.0], 1)
+
+
 # ---------------------------------------------------------------------------
 # Pearson correlation
 
@@ -184,6 +187,8 @@ def test_pearson_rejects_degenerate_inputs():
         pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(DataError):
         pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match="at least 2 observations"):
+        pearson_r([1.0], [2.0])
 
 
 def test_pipeline_segment_r_equals_pearson_r_bit_for_bit():
@@ -396,28 +401,3 @@ def test_special_kernels_match_scipy_stats_bit_for_bit():
         check(("f-span", var1), _variance_ratio_p(a2, b2), _stats_variance_ratio_p(a2, b2))
 
     assert mismatches == []
-
-
-# ---------------------------------------------------------------------------
-# First differences
-
-
-def test_first_differences_constant():
-    out = first_differences([4.0] * 6)
-    assert np.array_equal(out.values, np.zeros(5))
-
-
-def test_first_differences_ramp():
-    out = first_differences([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(out.values, np.ones(3))
-
-
-def test_first_differences_by_definition():
-    out = first_differences(TimeSeries([0.0, 5.0, 0.0], labels=[10, 20, 30]))
-    assert out.values.tolist() == [5.0, -5.0]
-    assert out.labels.tolist() == [20.0, 30.0]
-
-
-def test_first_differences_needs_two_points():
-    with pytest.raises(DataError):
-        first_differences([1.0])

@@ -58,6 +58,11 @@ def test_derive_seeds_is_deterministic_and_distinct():
     assert derive_seeds(12346, 50) != seeds
 
 
+def test_derive_seeds_needs_a_positive_count():
+    with pytest.raises(DataError, match="count must be positive, got 0"):
+        derive_seeds(0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Segment statistics
 
@@ -130,6 +135,8 @@ def test_generated_values_are_finite():
         {"x_mean": ((True, 0.5),)},
         {"y_mean": ((1, "0.2"),)},  # values are numbers, not strings
         {"x_variance": ((1,),)},  # each segment is a (start, value) pair
+        {"correlation": 5},  # segments are a sequence
+        {"correlation": ()},  # of at least one pair
     ],
 )
 def test_invalid_specs_rejected(overrides):
