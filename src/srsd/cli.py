@@ -49,8 +49,7 @@ from .core import (
 )
 from .mean_shift import detect_mean
 from .pipeline import CandidateRecord, SrsdResult, _prewhitened, run_srsd
-from .prewhiten import Ar1Estimate
-from .stats import _pearson
+from .stats import Ar1Estimate, _pearson
 from .synthgen import RegimeSpec, canonical_spec, generate_pair
 from .variance_shift import detect_variance
 
@@ -314,8 +313,11 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _params_from_args(args: argparse.Namespace) -> DetectionParams:
@@ -396,6 +398,9 @@ def _cmd_generate(args: argparse.Namespace) -> None:
             seed = int(env_seed)
         except ValueError:
             raise ParameterError(f"SRSD_SEED must be an integer, got {env_seed!r}") from None
+    if seed < 0:
+        source = "--seed" if env_seed is None else "SRSD_SEED"
+        raise ParameterError(f"{source} must not be negative, got {seed}")
     spec = _spec_from_file(args.spec, seed) if args.spec else canonical_spec(seed)
     x, y = generate_pair(spec)
     rows = zip(range(1, len(x) + 1), x.values.tolist(), y.values.tolist())

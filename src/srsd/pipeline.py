@@ -35,8 +35,7 @@ from .core import (
     as_series,
 )
 from .mean_shift import detect_mean
-from .prewhiten import Ar1Estimate, estimate_ar1, prewhiten
-from .stats import _fisher_z_p, _pearson, fisher_ci
+from .stats import Ar1Estimate, _fisher_z_p, _pearson, estimate_ar1, fisher_ci, prewhiten
 from .variance_shift import detect_variance
 
 __all__ = [
@@ -220,8 +219,8 @@ def detect_correlation(
     n = len(xs)
     # A degenerate channel means the inputs are exactly (anti)proportional:
     # the correlation is +/-1 everywhere and there is nothing to scan.
-    sum_zero = not np.any(total.values)
-    diff_zero = not np.any(diff.values)
+    sum_zero = not np.count_nonzero(total.values)
+    diff_zero = not np.count_nonzero(diff.values)
     if sum_zero and diff_zero:
         raise DataError("both channels are identically zero (all-zero inputs)")
     if sum_zero or diff_zero:

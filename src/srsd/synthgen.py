@@ -38,6 +38,11 @@ Segments = tuple[tuple[int, float], ...]
 CANONICAL_SEED = 4580
 
 
+def _check_seed(seed: int, name: str) -> None:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise DataError(f"{name} must be an integer >= 0, got {seed!r}")
+
+
 def _normalize_segments(segments: Sequence[tuple[int, float]], what: str) -> Segments:
     if not isinstance(segments, (tuple, list)):
         raise DataError(f"{what}: segments must be a sequence of (start, value) pairs")
@@ -82,6 +87,7 @@ class RegimeSpec:
             raise DataError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DataError(f"n must be positive, got {self.n}")
+        _check_seed(self.seed, "seed")
         for field_name in ("correlation", "x_mean", "y_mean", "x_variance", "y_variance"):
             segs = _normalize_segments(getattr(self, field_name), field_name)
             object.__setattr__(self, field_name, segs)
@@ -130,6 +136,7 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
     """Independent per-run seeds for ensembles, split from one base seed."""
     if count < 1:
         raise DataError(f"count must be positive, got {count}")
+    _check_seed(base_seed, "base_seed")
     state = np.random.SeedSequence(base_seed).generate_state(count, np.uint64)
     return [int(s) for s in state]
 

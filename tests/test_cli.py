@@ -601,6 +601,13 @@ def test_generate_non_integer_env_seed_is_a_usage_error(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err == "srsd: usage error: SRSD_SEED must be an integer, got '4580.0'\n"
     assert not out.exists()
+    monkeypatch.setenv("SRSD_SEED", "-3")
+    assert run_cli("generate", "--output", out) == 1
+    assert capsys.readouterr().err == "srsd: usage error: SRSD_SEED must not be negative, got -3\n"
+    monkeypatch.delenv("SRSD_SEED")
+    assert run_cli("generate", "--seed", "-1", "--output", out) == 1
+    assert capsys.readouterr().err == "srsd: usage error: --seed must not be negative, got -1\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +646,19 @@ def test_diagnose_traces(tmp_path, fixture_csv, capsys):
         ("diff", "rssi"),
     }
     assert len(lines) - 1 == 6 * 70
+
+
+@pytest.mark.parametrize("option", ["--output", "--traces"])
+def test_unwritable_output_is_a_data_error(tmp_path, fixture_csv, capsys, option):
+    bad = tmp_path / "missing" / "out.csv"
+    if option == "--output":
+        argv = ("generate", "--output", bad)
+    else:
+        d_csv = tmp_path / "d.csv"
+        argv = ("diagnose", fixture_csv, "--columns", "x,y", "--output", d_csv, "--traces", bad)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"srsd: data error: cannot write {bad}: No such file or directory\n"
 
 
 def test_diagnose_traces_of_identical_series_skip_the_degenerate_channels(tmp_path, capsys):

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -169,7 +170,7 @@ def test_each_public_object_has_one_name():
 
 
 # The modules whose __all__ srsd re-exports, in its order.
-REEXPORTED = ["core", "stats", "mean_shift", "variance_shift", "prewhiten", "pipeline", "synthgen"]
+REEXPORTED = ["core", "stats", "mean_shift", "variance_shift", "pipeline", "synthgen"]
 
 
 @pytest.mark.parametrize("module_name", REEXPORTED)
@@ -180,6 +181,14 @@ def test_star_import_binds_the_module_all_as_srsd_does(module_name):
     module = importlib.import_module(f"srsd.{module_name}")
     assert sorted(namespace) == sorted(module.__all__)
     assert {name: getattr(srsd, name, None) for name in namespace} == namespace
+
+
+def test_no_submodule_is_shadowed_by_a_name_srsd_binds():
+    submodules = [info.name for info in pkgutil.iter_modules(srsd.__path__)]
+    assert "stats" in submodules
+    for name in submodules:
+        if hasattr(srsd, name):
+            assert getattr(srsd, name) is importlib.import_module(f"srsd.{name}"), name
 
 
 def test_srsd_all_is_the_union_of_its_modules_all():

@@ -63,6 +63,12 @@ def test_derive_seeds_needs_a_positive_count():
         derive_seeds(0, 0)
 
 
+@pytest.mark.parametrize("base_seed", [-1, 2.0, False])
+def test_derive_seeds_needs_an_integer_base_seed_of_at_least_zero(base_seed):
+    with pytest.raises(DataError, match=rf"^base_seed must be an integer >= 0, got {base_seed!r}$"):
+        derive_seeds(base_seed, 3)
+
+
 # ---------------------------------------------------------------------------
 # Segment statistics
 
@@ -137,6 +143,9 @@ def test_generated_values_are_finite():
         {"x_variance": ((1,),)},  # each segment is a (start, value) pair
         {"correlation": 5},  # segments are a sequence
         {"correlation": ()},  # of at least one pair
+        {"seed": -1},  # seeds are integers >= 0, as numpy's generators need
+        {"seed": 1.5},
+        {"seed": True},
     ],
 )
 def test_invalid_specs_rejected(overrides):
