@@ -309,7 +309,7 @@ def _srsd_to_csv(result: SrsdResult) -> str:
 # Commands
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, text: str, remove_on_failure: str | None = None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -317,6 +317,8 @@ def _write_output(path: str | None, text: str) -> None:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
+            if remove_on_failure:  # a file this run wrote before the failed one
+                os.remove(remove_on_failure)
             raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
@@ -421,8 +423,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> None:
     adj_x, adj_y = (res.normalized.values for res in result.variance_results)
     adjusted = _running_correlation(adj_x, adj_y, args.window)
     rows = [(s, s + args.window - 1, *rs) for s, rs in enumerate(zip(raw, adjusted), start=1)]
-    _write_output(args.output, _csv("start,end,raw,adjusted", rows))
-
+    table = _csv("start,end,raw,adjusted", rows)
     if args.traces:
         trace_rows = []
         names = (result.x.name, result.y.name)
@@ -436,10 +437,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> None:
             if res is None:
                 continue
             detector = _SHIFT_KEYS[res.regimes[0].kind]["trace"]
-            trace_rows += [
-                (name, detector, i, value) for i, value in enumerate(res.trace.tolist(), start=1)
-            ]
+            trace_rows += [(name, detector, i, v) for i, v in enumerate(res.trace.tolist(), 1)]
         _write_output(args.traces, _csv("series,detector,index,value", trace_rows))
+    _write_output(args.output, table, remove_on_failure=args.traces)  # after the traces file
 
 
 # ---------------------------------------------------------------------------

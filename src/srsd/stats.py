@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +46,8 @@ __all__ = [
     "estimate_ar1",
     "prewhiten",
 ]
+
+_BLOCK = 2**16  # elements per block of sliding windows
 
 
 def _check_prob(prob: float, name: str = "prob") -> float:
@@ -72,19 +74,28 @@ def f_quantile(prob: float, df1: int, df2: int) -> float:
     return float(fdtri(df1, df2, prob))
 
 
+def _window_blocks(values: np.ndarray, l: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, rows) blocks of about _BLOCK elements of the l-point windows of values."""
+    windows, rows = sliding_window_view(values, l), max(1, _BLOCK // l)
+    return ((start, windows[start : start + rows]) for start in range(0, len(windows), rows))
+
+
 def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     """Average sample variance of all running l-point windows of the series.
 
-    This is the pooled noise-scale estimate the mean detector's threshold is
-    built from; it is computed once over the full series.
+    The mean detector's threshold is built from this pooled noise scale. Beyond
+    the n - l + 1 variances, its memory is one block of windows, whatever n is.
     """
     ts = as_series(series)
     if l < 2:
         raise ParameterError(f"window length l must be at least 2, got {l}")
     if len(ts) < l:
         raise DataError(f"series of length {len(ts)} is shorter than l={l}")
-    windows = sliding_window_view(ts.values, l)
-    return float(np.mean(np.var(windows, axis=1, ddof=1)))
+    variances = np.empty(len(ts) - l + 1)  # np.var(ddof=1), then np.mean, by their own steps
+    for row, windows in _window_blocks(ts.values, l):
+        dev = windows - np.add.reduce(windows, axis=1, keepdims=True) / l
+        variances[row : row + len(dev)] = np.add.reduce(np.square(dev, out=dev), axis=1) / (l - 1)
+    return float(np.add.reduce(variances) / len(variances))
 
 
 def pearson_r(x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]) -> float:
@@ -203,12 +214,14 @@ class Ar1Estimate:
 
 def _subsample_lag1(values: np.ndarray, m: int) -> np.ndarray:
     """Ordinary lag-1 autocorrelation estimate for every m-point window."""
-    windows = sliding_window_view(values, m)
-    dev = windows - windows.mean(axis=1, keepdims=True)
-    num = np.sum(dev[:, :-1] * dev[:, 1:], axis=1)
-    den = np.sum(dev * dev, axis=1)
-    keep = den > 0.0
-    return num[keep] / den[keep]
+    ratios = []
+    for _, windows in _window_blocks(values, m):
+        dev = windows - windows.mean(axis=1, keepdims=True)
+        num = np.sum(dev[:, :-1] * dev[:, 1:], axis=1)
+        den = np.sum(dev * dev, axis=1)
+        keep = den > 0.0
+        ratios.append(num[keep] / den[keep])
+    return np.concatenate(ratios)
 
 
 def _correct_mpk(r: np.ndarray, m: int) -> np.ndarray:
@@ -217,8 +230,11 @@ def _correct_mpk(r: np.ndarray, m: int) -> np.ndarray:
 
 def _correct_ip4(r: np.ndarray, m: int) -> np.ndarray:
     alpha = r.copy()
-    for _ in range(4):
-        alpha = r + (1.0 + 4.0 * alpha) / m
+    for _ in range(4):  # alpha = r + (1 + 4 alpha) / m, in place
+        alpha *= 4.0
+        alpha += 1.0
+        alpha /= m
+        alpha += r
     return alpha
 
 
@@ -244,16 +260,15 @@ def estimate_ar1(
     if raw.size == 0:
         raise DataError("AR(1) estimation is undefined: every subsample is constant")
     corrected = _correct_mpk(raw, m) if method == "mpk" else _correct_ip4(raw, m)
-    alpha = float(np.median(corrected))
+    alpha = float(np.median(corrected, overwrite_input=True))
     clamped = not (-_CLAMP < alpha < _CLAMP)
-    if clamped:
-        alpha = float(np.clip(alpha, -_CLAMP, _CLAMP))
+    alpha = min(max(alpha, -_CLAMP), _CLAMP)
     return Ar1Estimate(
         alpha=alpha,
         method=method,
         m=int(m),
         n_subsamples=int(raw.size),
-        alpha_ols=float(np.median(raw)),
+        alpha_ols=float(np.median(raw, overwrite_input=True)),
         clamped=clamped,
     )
 

@@ -648,17 +648,21 @@ def test_diagnose_traces(tmp_path, fixture_csv, capsys):
     assert len(lines) - 1 == 6 * 70
 
 
-@pytest.mark.parametrize("option", ["--output", "--traces"])
+@pytest.mark.parametrize("option", ["--output", "--traces", "diagnose --output"])
 def test_unwritable_output_is_a_data_error(tmp_path, fixture_csv, capsys, option):
     bad = tmp_path / "missing" / "out.csv"
+    other = tmp_path / "other.csv"
+    diagnose = ("diagnose", fixture_csv, "--columns", "x,y")
     if option == "--output":
         argv = ("generate", "--output", bad)
+    elif option == "--traces":
+        argv = (*diagnose, "--output", other, "--traces", bad)
     else:
-        d_csv = tmp_path / "d.csv"
-        argv = ("diagnose", fixture_csv, "--columns", "x,y", "--output", d_csv, "--traces", bad)
+        argv = (*diagnose, "--output", bad, "--traces", other)
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err == f"srsd: data error: cannot write {bad}: No such file or directory\n"
+    assert not other.exists()  # a failed run leaves no half of its output behind
 
 
 def test_diagnose_traces_of_identical_series_skip_the_degenerate_channels(tmp_path, capsys):

@@ -8,17 +8,21 @@ they replaced, which the tests import as a reference only.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as sps
 
 from srsd import (
     DataError,
     ParameterError,
+    TimeSeries,
+    estimate_ar1,
     f_quantile,
     fisher_ci,
     fisher_compare,
@@ -26,7 +30,7 @@ from srsd import (
     running_avg_variance,
     student_t_quantile,
 )
-from srsd.stats import _pooled_t_p, _variance_ratio_p
+from srsd.stats import _BLOCK, _pooled_t_p, _subsample_lag1, _variance_ratio_p
 
 mpmath.mp.dps = 40
 
@@ -166,6 +170,116 @@ def test_running_avg_variance_needs_full_window():
 def test_running_avg_variance_needs_two_point_windows():
     with pytest.raises(ParameterError, match="at least 2, got 1"):
         running_avg_variance([1.0, 2.0, 3.0], 1)
+
+
+# ---------------------------------------------------------------------------
+# Sliding-window statistics in blocks: the bits of the one-block formulas
+
+
+def one_block_avg_variance(values, l):
+    return float(np.mean(np.var(sliding_window_view(values, l), axis=1, ddof=1)))
+
+
+def one_block_lag1(values, m):
+    windows = sliding_window_view(values, m)
+    dev = windows - windows.mean(axis=1, keepdims=True)
+    num = np.sum(dev[:, :-1] * dev[:, 1:], axis=1)
+    den = np.sum(dev * dev, axis=1)
+    keep = den > 0.0
+    return num[keep] / den[keep]
+
+
+def one_block_ar1(values, m, method):
+    """(alpha before the clamp, alpha_ols) as estimate_ar1 computed them in one block."""
+    raw = one_block_lag1(values, m)
+    if method == "mpk":
+        corrected = (m * raw + 1.0) / (m - 4)
+    else:
+        corrected = raw.copy()
+        for _ in range(4):
+            corrected = raw + (1.0 + 4.0 * corrected) / m
+    return float(np.median(corrected)), float(np.median(raw))
+
+
+WINDOW_COUNTS = {  # windows in the series, against the rows of one block
+    "one block": lambda rows: rows,
+    "one block + 1": lambda rows: rows + 1,
+    "two blocks - 1": lambda rows: 2 * rows - 1,
+}
+KINDS = ["unit", "1e-5", "1e5", "1e12 offset", "rounded", "constant stretch"]
+
+
+def block_series(l, count, kind):
+    rows = max(1, _BLOCK // l)
+    seed = [l, list(WINDOW_COUNTS).index(count), KINDS.index(kind)]
+    values = np.random.default_rng(seed).standard_normal(WINDOW_COUNTS[count](rows) + l - 1)
+    if kind == "1e-5":
+        values *= 1e-5
+    elif kind == "1e5":
+        values *= 1e5
+    elif kind == "1e12 offset":
+        values += 1e12
+    elif kind == "rounded":
+        values = np.round(values)  # ties and repeated windows
+    elif kind == "constant stretch":
+        values[rows - 3 * l : rows + 3 * l] = 2.5  # constant windows on both sides of a block edge
+    return values
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("count", list(WINDOW_COUNTS))
+@pytest.mark.parametrize("l", [2, 3, 20, 80])
+def test_blocked_running_avg_variance_has_the_one_block_bits(l, count, kind):
+    values = block_series(l, count, kind)
+    assert running_avg_variance(values, l).hex() == one_block_avg_variance(values, l).hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("count", list(WINDOW_COUNTS))
+@pytest.mark.parametrize("m", [5, 6, 10, 17])
+def test_blocked_subsample_lag1_has_the_one_block_bits(m, count, kind):
+    values = block_series(m, count, kind)
+    assert _subsample_lag1(values, m).tobytes() == one_block_lag1(values, m).tobytes()
+
+
+@pytest.mark.parametrize("method", ["mpk", "ip4"])
+@pytest.mark.parametrize("m", [5, 6, 10, 17])
+def test_estimate_ar1_has_the_one_block_bits(m, method):
+    values = block_series(m, "two blocks - 1", "unit")
+    values[1:] += 0.3 * values[:-1]
+    est = estimate_ar1(values, m, method)
+    alpha, alpha_ols = one_block_ar1(values, m, method)
+    alpha = min(max(alpha, -0.99), 0.99)
+    assert (est.alpha.hex(), est.alpha_ols.hex()) == (alpha.hex(), alpha_ols.hex())
+
+
+def traced_peak_mib(fn):
+    """tracemalloc peak of one call of fn, after a warm-up call."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_series():
+    return TimeSeries(np.random.default_rng(19).standard_normal(200_000))
+
+
+def test_running_avg_variance_memory_is_bounded_in_n_times_l(long_series):
+    # One (n - l + 1) x l block of deviations would take 30.5 MiB here.
+    assert traced_peak_mib(lambda: running_avg_variance(long_series, 20)) < 4.0
+
+
+@pytest.mark.parametrize("method", ["mpk", "ip4"])
+def test_estimate_ar1_memory_is_bounded_in_n_times_m(long_series, method):
+    assert traced_peak_mib(lambda: estimate_ar1(long_series, 10, method)) < 4.0
 
 
 # ---------------------------------------------------------------------------
