@@ -232,9 +232,7 @@ def test_every_cli_subcommand_parses_to_a_handler():
         assert callable(getattr(parser.parse_args(argv), "run", None)), name
 
 
-@pytest.mark.parametrize(
-    "module_name, attr", BENCH_PATCHES, ids=[f"{m}.{a}" for m, a in BENCH_PATCHES]
-)
+@pytest.mark.parametrize("module_name, attr", BENCH_PATCHES, ids="{0[0]}.{0[1]}".format)
 def test_bench_patch_target_is_a_module_global(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(vars(module).get(attr))
