@@ -28,7 +28,7 @@ entry points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -96,24 +96,24 @@ class ShiftResult:
     (also readable as `residuals`) and `trace` is the RSI (`rsi`); for the
     variance detector `series` is the input divided by each regime's standard
     deviation (`normalized`) and `trace` is the RSSI (`rssi`). The trace is
-    computed from the change-points: each one's index value at its index,
-    provisional ones included, and zero elsewhere.
+    computed from the change-points when it is read: each one's index value
+    at its index, provisional ones included, and zero elsewhere.
     """
 
     regimes: list[Regime]
     change_points: list[ChangePoint]
     series: TimeSeries
-    trace: np.ndarray = field(init=False, compare=False)
 
-    residuals = property(lambda self: self.series, doc="Alias of `series`.")
-    normalized = property(lambda self: self.series, doc="Alias of `series`.")
-    rsi = property(lambda self: self.trace, doc="Alias of `trace`.")
-    rssi = property(lambda self: self.trace, doc="Alias of `trace`.")
-
-    def __post_init__(self):
-        self.trace = np.zeros(len(self.series))
+    @property
+    def trace(self) -> np.ndarray:
+        """The shift-index trace, a new array on each read: the result stores none."""
+        trace = np.zeros(len(self.series))
         for cp in self.change_points:
-            self.trace[cp.index - 1] = cp.index_value
+            trace[cp.index - 1] = cp.index_value
+        return trace
+
+    residuals = normalized = property(lambda self: self.series, doc="Alias of `series`.")
+    rsi = rssi = trace
 
 
 def init_state(

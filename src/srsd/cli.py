@@ -134,17 +134,17 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
 _field_types = functools.cache(get_type_hints)
 
 
-# JSON keys of a ShiftResult's series and trace, by the kind of its regimes.
+# JSON key of each ShiftResult member, its trace included, in file order, by regime kind.
 _SHIFT_KEYS = {
-    "mean": {"series": "residuals", "trace": "rsi"},
-    "variance": {"series": "normalized", "trace": "rssi"},
+    kind: {"regimes": "regimes", "change_points": "change_points", "series": series, "trace": trace}
+    for kind, series, trace in (("mean", "residuals", "rsi"), ("variance", "normalized", "rssi"))
 }
 
 
 def _fields(value: Any) -> dict[str, Any]:
-    """A result dataclass's fields by JSON key, in field order."""
+    """A result dataclass's fields by JSON key, in field order; a ShiftResult's by _SHIFT_KEYS."""
     keys = _SHIFT_KEYS[value.regimes[0].kind] if isinstance(value, ShiftResult) else {}
-    return {keys.get(f.name, f.name): getattr(value, f.name) for f in fields(value)}
+    return {keys.get(n, n): getattr(value, n) for n in keys or [f.name for f in fields(value)]}
 
 
 def _from_obj(tp: Any, obj: Any) -> Any:
@@ -161,7 +161,7 @@ def _from_obj(tp: Any, obj: Any) -> Any:
     if is_dataclass(tp):
         keys = _SHIFT_KEYS[obj["regimes"][0]["kind"]] if tp is ShiftResult else {}
         types = _field_types(tp)
-        names = [f.name for f in fields(tp) if f.init]  # a derived field is not passed
+        names = [f.name for f in fields(tp)]
         return tp(**{name: _from_obj(types[name], obj[keys.get(name, name)]) for name in names})
     return obj
 

@@ -87,6 +87,8 @@ def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     the n - l + 1 variances, its memory is one block of windows, whatever n is.
     """
     ts = as_series(series)
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
+        raise ParameterError(f"window length l must be an integer, got {l!r}")
     if l < 2:
         raise ParameterError(f"window length l must be at least 2, got {l}")
     if len(ts) < l:

@@ -134,6 +134,8 @@ def generate_pair(spec: RegimeSpec) -> tuple[TimeSeries, TimeSeries]:
 
 def derive_seeds(base_seed: int, count: int) -> list[int]:
     """Independent per-run seeds for ensembles, split from one base seed."""
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+        raise DataError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise DataError(f"count must be positive, got {count}")
     _check_seed(base_seed, "base_seed")

@@ -67,7 +67,7 @@ def init_variance_monitor(
 ) -> MonitorState:
     """Initialize streaming variance monitoring from at least l residuals."""
     ts = as_series(history)
-    f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
+    f_crit = critical_variances(1.0, params)[0]  # 1.0 * F is F, bit for bit
     return _engine.init_state(VARIANCE, ts, params.l, f_crit, float(params.l))
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srsd import (
+    ChangePoint,
     DataError,
     DetectionParams,
     ParameterError,
@@ -16,7 +18,17 @@ from srsd import (
     TimeSeries,
     detect_mean,
     detect_variance,
+    finalize_mean,
+    finalize_variance,
+    init_mean_monitor,
+    init_variance_monitor,
+    monitor_mean,
+    monitor_variance,
+    run_srsd,
+    running_avg_variance,
 )
+from srsd._engine import ShiftResult
+from srsd.cli import result_from_json, result_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +48,13 @@ def test_time_series_equality_includes_labels_and_name():
     assert a == TimeSeries([1.0, 2.0], labels=[3, 4], name="a")
     assert a != TimeSeries([1.0, 2.0], labels=[3, 5], name="a")
     assert a != TimeSeries([1.0, 2.0], labels=[3, 4], name="b")
+    assert a != TimeSeries([1.0, 2.0], name="a")
+    assert TimeSeries([1.0]) != 1.0
+
+
+def test_time_series_repr_gives_length_and_name():
+    assert repr(TimeSeries([1.0, 2.0])) == "TimeSeries(n=2)"
+    assert repr(TimeSeries([1.0, 2.0], name="x")) == "TimeSeries(n=2, name='x')"
 
 
 def test_time_series_rejects_empty_input():
@@ -143,6 +162,82 @@ def test_regime_length_is_inclusive():
 def test_regime_rejects_an_end_before_its_start():
     with pytest.raises(DataError, match=r"invalid regime span \[3, 2\]"):
         Regime(start=3, end=2, kind="mean", value=0.0)
+
+
+# ---------------------------------------------------------------------------
+# ShiftResult: three stored fields, the trace derived on read
+
+
+def literal_trace(res):
+    trace = np.zeros(len(res.series))
+    for cp in res.change_points:
+        trace[cp.index - 1] = cp.index_value
+    return trace
+
+
+def shifted_pair():
+    """x and v each end in a change-point still under test, after a confirmed one."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(80)
+    x[30:] += 3.0
+    x[-6:] += 6.0
+    v = rng.standard_normal(80)
+    v[40:] *= 4.0
+    v[-5:] *= 6.0
+    return x, v
+
+
+def assert_trace_is_literal(res):
+    expected = literal_trace(res).tobytes()
+    assert res.trace.tobytes() == expected
+    assert res.rsi.tobytes() == res.rssi.tobytes() == expected
+
+
+def test_shift_result_stores_only_its_three_inputs():
+    assert [f.name for f in dataclasses.fields(ShiftResult)] == ["regimes", "change_points", "series"]
+
+
+def test_shift_result_trace_is_the_literal_one_on_batch_and_finalized_results():
+    x, v = shifted_pair()
+    params = DetectionParams(p=0.05, l=20)
+    mean_state = init_mean_monitor(x[:20], params, avg_var=running_avg_variance(x, 20))
+    var_state = init_variance_monitor(v[:20], params)
+    for a, b in zip(x[20:], v[20:]):
+        mean_state, _ = monitor_mean(mean_state, float(a), params)
+        var_state, _ = monitor_variance(var_state, float(b), params)
+    for res in (
+        detect_mean(x, params),
+        detect_variance(v, params),
+        finalize_mean(x, mean_state),
+        finalize_variance(v, var_state),
+    ):
+        assert res.change_points[-1].provisional and not res.change_points[0].provisional
+        assert_trace_is_literal(res)
+        assert res.trace is not res.trace  # built anew on each read
+
+
+def test_shift_result_trace_survives_the_json_round_trip():
+    x, v = shifted_pair()
+    rebuilt = result_from_json(result_to_json(run_srsd(x, v)))
+    channels = (rebuilt.correlation.sum_channel, rebuilt.correlation.diff_channel)
+    results = [*rebuilt.mean_results, *rebuilt.variance_results, *channels]
+    assert any(res.change_points and res.change_points[-1].provisional for res in results)
+    for res in results:
+        assert_trace_is_literal(res)
+
+
+def test_shift_result_construction_allocates_no_trace():
+    n = 10**6
+    series = TimeSeries(np.zeros(n))
+    regimes = [Regime(start=1, end=n, kind="mean", value=0.0)]
+    tracemalloc.start()
+    try:
+        res = ShiftResult(regimes, [ChangePoint(index=n, index_value=1.0)], series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert res.trace[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,9 @@ def test_running_avg_variance_needs_full_window():
 def test_running_avg_variance_needs_two_point_windows():
     with pytest.raises(ParameterError, match="at least 2, got 1"):
         running_avg_variance([1.0, 2.0, 3.0], 1)
+    for l in (20.0, True):
+        with pytest.raises(ParameterError, match=rf"^window length l must be an integer, got {l!r}$"):
+            running_avg_variance(np.arange(30.0), l)
 
 
 # ---------------------------------------------------------------------------

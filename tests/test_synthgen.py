@@ -61,6 +61,9 @@ def test_derive_seeds_is_deterministic_and_distinct():
 def test_derive_seeds_needs_a_positive_count():
     with pytest.raises(DataError, match="count must be positive, got 0"):
         derive_seeds(0, 0)
+    for count in (2.0, True):
+        with pytest.raises(DataError, match=rf"^count must be an integer, got {count!r}$"):
+            derive_seeds(1, count)
 
 
 @pytest.mark.parametrize("base_seed", [-1, 2.0, False])
