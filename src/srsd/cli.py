@@ -18,11 +18,11 @@ diagnose
 Formats
 -------
 CSV input has a header row; value columns are selected by name with
---columns. If the first column is not selected and holds strictly increasing
-numbers, it is used as time labels (years, typically). CSV output uses 9
-significant digits; JSON output uses shortest round-trip floats and carries a
-"schema_version" field, so identical inputs and config produce byte-identical
-files. Exit codes: 0 success, 1 usage error, 2 data error.
+--columns. If the first column is not selected and holds finite, strictly
+increasing numbers, it is used as time labels (years, typically). CSV output
+uses 9 significant digits; JSON output uses shortest round-trip floats and
+carries a "schema_version" field, so identical inputs and config produce
+byte-identical files. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .core import (
     ParameterError,
     Regime,
     TimeSeries,
+    _labels,
 )
 from .mean_shift import detect_mean
 from .pipeline import CandidateRecord, SrsdResult, _prewhitened, run_srsd
@@ -82,7 +83,7 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
 
     Row numbers in error messages are physical file rows (the header is row
     1); blank lines are skipped. The first column doubles as time labels when
-    it is not itself selected and holds strictly increasing numbers.
+    it is not itself selected and holds finite, strictly increasing numbers.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -115,12 +116,10 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
 
     labels = None
     if header[0] not in columns:
-        try:
-            first = np.array(cells[::width], dtype=float)
+        try:  # text, repeats, falls or non-finite values are simply not labels
+            labels = _labels(cells[::width], len(kept))
         except ValueError:
-            first = None
-        if first is not None and np.all(first[1:] > first[:-1]):  # no inf - inf
-            labels = first
+            pass
     return [
         TimeSeries(_floats(cells[header.index(col) :: width], col, rows), labels=labels, name=col)
         for col in columns

@@ -42,6 +42,22 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise DataError(f"{what} contains a non-finite value at position {bad}")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_int(value: object, name: str, error: type[ValueError] = ParameterError) -> int:
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_prob(prob: object, name: str = "prob") -> float:
+    if isinstance(prob, bool) or not isinstance(prob, Real) or not 0.0 < prob < 1.0:
+        raise ParameterError(f"{name} must lie strictly between 0 and 1, got {prob!r}")
+    return float(prob)
+
+
 def _as_float_array(values: Sequence[float], what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -52,6 +68,19 @@ def _as_float_array(values: Sequence[float], what: str) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _labels(labels: Sequence[float], size: int) -> np.ndarray:
+    """Checked time labels of a series of size points: finite and strictly increasing."""
+    lab = _as_float_array(labels, "series labels")
+    if lab.size != size:
+        raise DataError(f"labels length {lab.size} != values length {size}")
+    falls = np.flatnonzero(np.diff(lab) <= 0)
+    if falls.size:
+        k = int(falls[0]) + 1  # 0-based index of the first label that does not rise
+        at = f"{lab[k]} at position {k + 1} follows {lab[k - 1]}"
+        raise DataError(f"series labels must be strictly increasing: {at}")
+    return lab
 
 
 class TimeSeries:
@@ -70,17 +99,7 @@ class TimeSeries:
         name: str | None = None,
     ):
         self.values = _as_float_array(values, "series values")
-        if labels is not None:
-            lab = _as_float_array(labels, "series labels")
-            if lab.size != self.values.size:
-                raise DataError(
-                    f"labels length {lab.size} != values length {self.values.size}"
-                )
-            if np.any(np.diff(lab) <= 0):
-                raise DataError("series labels must be strictly increasing")
-            self.labels = lab
-        else:
-            self.labels = None
+        self.labels = None if labels is None else _labels(labels, self.values.size)
         self.name = name
 
     @classmethod
@@ -143,10 +162,9 @@ class DetectionParams:
     m: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not isinstance(self.p, Real) or not 0.0 < self.p < 1.0:
-            raise ParameterError(f"p must lie strictly between 0 and 1, got {self.p!r}")
-        if not isinstance(self.l, Integral) or isinstance(self.l, bool):
-            raise ParameterError(f"l must be an integer, got {self.l!r}")
+        # Plain Python numbers, so that numpy scalars serialize and print like literals.
+        object.__setattr__(self, "p", _check_prob(self.p, "p"))
+        object.__setattr__(self, "l", _check_int(self.l, "l"))
         if self.l < 3:
             raise ParameterError(f"l must be at least 3, got {self.l}")
         if self.prewhiten not in ("none", "mpk", "ip4"):
@@ -154,18 +172,13 @@ class DetectionParams:
                 f"prewhiten must be one of 'none', 'mpk', 'ip4', got {self.prewhiten!r}"
             )
         if self.m is not None:
-            if not isinstance(self.m, Integral) or isinstance(self.m, bool):
-                raise ParameterError(f"m must be an integer, got {self.m!r}")
+            object.__setattr__(self, "m", _check_int(self.m, "m"))
             if not (5 <= self.m < self.l):
                 raise ParameterError(
                     f"m must satisfy 5 <= m < l (l={self.l}), got {self.m}"
                 )
         elif self.prewhiten != "none":
             raise ParameterError("m must be set when prewhiten is enabled")
-        # Plain Python numbers, so that numpy scalars serialize and print like literals.
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "l", int(self.l))
-        object.__setattr__(self, "m", None if self.m is None else int(self.m))
 
 
 @dataclass(frozen=True)

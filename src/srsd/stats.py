@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import fdtr, fdtri, ndtri, stdtr, stdtrit
 
-from .core import DataError, ParameterError, TimeSeries, as_series
+from .core import DataError, ParameterError, TimeSeries, _check_int, _check_prob, as_series
 
 __all__ = [
     "student_t_quantile",
@@ -50,16 +50,10 @@ __all__ = [
 _BLOCK = 2**16  # elements per block of sliding windows
 
 
-def _check_prob(prob: float, name: str = "prob") -> float:
-    if not (0.0 < prob < 1.0):
-        raise ParameterError(f"{name} must lie strictly between 0 and 1, got {prob!r}")
-    return float(prob)
-
-
 def student_t_quantile(prob: float, df: int) -> float:
     """Inverse CDF of Student's t distribution with df degrees of freedom."""
     _check_prob(prob)
-    if not df >= 1:  # written so that a NaN df fails too
+    if _check_int(df, "df") < 1:
         raise ParameterError(f"df must be a positive integer, got {df!r}")
     return float(stdtrit(df, prob))
 
@@ -67,9 +61,9 @@ def student_t_quantile(prob: float, df: int) -> float:
 def f_quantile(prob: float, df1: int, df2: int) -> float:
     """Inverse CDF of the F distribution with (df1, df2) degrees of freedom."""
     _check_prob(prob)
-    if not df1 >= 1:
+    if _check_int(df1, "df1") < 1:
         raise ParameterError(f"df1 must be positive, got {df1!r}")
-    if not df2 >= 1:
+    if _check_int(df2, "df2") < 1:
         raise ParameterError(f"df2 must be positive, got {df2!r}")
     return float(fdtri(df1, df2, prob))
 
@@ -87,9 +81,7 @@ def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     the n - l + 1 variances, its memory is one block of windows, whatever n is.
     """
     ts = as_series(series)
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise ParameterError(f"window length l must be an integer, got {l!r}")
-    if l < 2:
+    if _check_int(l, "window length l") < 2:
         raise ParameterError(f"window length l must be at least 2, got {l}")
     if len(ts) < l:
         raise DataError(f"series of length {len(ts)} is shorter than l={l}")
@@ -127,7 +119,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
 
 
 def _check_fisher_args(r: float, n: int, what: str) -> None:
-    if n < 4:
+    if _check_int(n, f"{what}: n", DataError) < 4:
         raise DataError(f"{what}: Fisher transform requires n >= 4, got n={n}")
     if not -1.0 < r < 1.0:
         raise DataError(f"{what}: |r| must be < 1, got r={r}")
@@ -251,9 +243,7 @@ def estimate_ar1(
     """
     if method not in ("mpk", "ip4"):
         raise ParameterError(f"method must be 'mpk' or 'ip4', got {method!r}")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ParameterError(f"m must be an integer, got {m!r}")
-    if m < 5:
+    if _check_int(m, "m") < 5:
         raise ParameterError(f"subsample size m must be at least 5, got {m}")
     ts = as_series(series)
     if len(ts) < m:

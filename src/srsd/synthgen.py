@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, TimeSeries
+from .core import DataError, TimeSeries, _check_int, _is_int
 
 __all__ = [
     "RegimeSpec",
@@ -39,7 +39,7 @@ CANONICAL_SEED = 4580
 
 
 def _check_seed(seed: int, name: str) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise DataError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
@@ -51,11 +51,10 @@ def _normalize_segments(segments: Sequence[tuple[int, float]], what: str) -> Seg
         if not isinstance(item, (tuple, list)) or len(item) != 2:
             raise DataError(f"{what}: segment {item!r} is not a (start, value) pair")
         start, value = item
-        if not isinstance(start, (int, np.integer)) or isinstance(start, bool):
-            raise DataError(f"{what}: segment start must be an integer, got {start!r}")
+        start = _check_int(start, f"{what}: segment start", DataError)
         if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
             raise DataError(f"{what}: segment value must be a number, got {value!r}")
-        segs.append((int(start), float(value)))
+        segs.append((start, float(value)))
     if not segs:
         raise DataError(f"{what}: at least one segment is required")
     if segs[0][0] != 1:
@@ -83,9 +82,7 @@ class RegimeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise DataError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
+        if _check_int(self.n, "n", DataError) < 1:
             raise DataError(f"n must be positive, got {self.n}")
         _check_seed(self.seed, "seed")
         for field_name in ("correlation", "x_mean", "y_mean", "x_variance", "y_variance"):
@@ -134,9 +131,7 @@ def generate_pair(spec: RegimeSpec) -> tuple[TimeSeries, TimeSeries]:
 
 def derive_seeds(base_seed: int, count: int) -> list[int]:
     """Independent per-run seeds for ensembles, split from one base seed."""
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-        raise DataError(f"count must be an integer, got {count!r}")
-    if count < 1:
+    if _check_int(count, "count", DataError) < 1:
         raise DataError(f"count must be positive, got {count}")
     _check_seed(base_seed, "base_seed")
     state = np.random.SeedSequence(base_seed).generate_state(count, np.uint64)

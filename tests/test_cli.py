@@ -127,7 +127,10 @@ def test_parse_csv_non_finite_cell_is_a_series_error(tmp_path):
 
 @pytest.mark.parametrize(
     "first",
-    [["a", "b", "c"], ["1", "3", "2"], ["1", "1", "2"], ["1", "nan", "3"], ["1", "2", "x"]],
+    [
+        ["a", "b", "c"], ["1", "3", "2"], ["1", "1", "2"], ["1", "nan", "3"], ["1", "2", "x"],
+        ["1", "2", "inf"], ["-inf", "1", "2"],
+    ],
 )
 def test_parse_csv_first_column_without_labels(tmp_path, first):
     path = tmp_path / "in.csv"

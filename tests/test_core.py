@@ -81,6 +81,9 @@ def test_time_series_label_validation():
         TimeSeries([1.0, 2.0], labels=[2, 1])
     with pytest.raises(DataError):
         TimeSeries([1.0, 2.0], labels=[1, 1])
+    message = r"^series labels must be strictly increasing: 3.0 at position 4 follows 5.0$"
+    with pytest.raises(DataError, match=message):
+        TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0], labels=[1, 2, 5, 3, 4])
 
 
 def test_time_series_length():

@@ -149,13 +149,6 @@ def load_bench_patches():
 
 BENCH_PATCHES = load_bench_patches()
 
-# Test ids of BENCH_PATCHES: "module.attr" for the first dozen; the rest keep
-# their older two-letter ids, to be renamed the same way in a later change.
-BENCH_PATCH_IDS = [f"{module}.{attr}" for module, attr in BENCH_PATCHES[:12]] + [
-    "s.r-f.i0", "s.r-i.n1", "s.r-f._", "s.r-m.o1", "s.r-f.i1", "s.r-r.u2", "s.r-m.a",
-    "s.r-p.a", "s.r-r.u3", "s.r-d.e3", "s.r-d.e4", "s.r-r.e", "s.r-_.s",
-]
-
 
 @pytest.mark.parametrize("name", srsd.__all__)
 def test_every_public_name_imports(name):
@@ -239,7 +232,7 @@ def test_every_cli_subcommand_parses_to_a_handler():
         assert callable(getattr(parser.parse_args(argv), "run", None)), name
 
 
-@pytest.mark.parametrize("module_name, attr", BENCH_PATCHES, ids=BENCH_PATCH_IDS)
+@pytest.mark.parametrize("module_name, attr", BENCH_PATCHES, ids=[f"{m}.{a}" for m, a in BENCH_PATCHES])
 def test_bench_patch_target_is_a_module_global(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(vars(module).get(attr))

@@ -82,7 +82,11 @@ def test_t_quantile_antisymmetry(prob, df):
 
 
 @pytest.mark.parametrize(
-    "bad", [(0.0, 5), (1.0, 5), (1.5, 5), (0.5, 0), (0.5, -3), (0.5, float("nan"))]
+    "bad",
+    [
+        (0.0, 5), (1.0, 5), (1.5, 5), (0.5, 0), (0.5, -3), (0.5, float("nan")),
+        (0.5, 2.5), (0.5, True), ("0.9", 3),
+    ],
 )
 def test_t_quantile_rejects_bad_inputs(bad):
     with pytest.raises(ParameterError):
@@ -136,6 +140,8 @@ def test_f_quantile_rejects_bad_inputs():
         f_quantile(0.975, float("nan"), 5)
     with pytest.raises(ParameterError, match="df2"):
         f_quantile(0.975, 5, float("nan"))
+    with pytest.raises(ParameterError, match="^df2 must be an integer, got 2.5$"):
+        f_quantile(0.9, 3, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +367,8 @@ def test_fisher_compare_rejects_degenerate():
         fisher_compare(1.0, 30, 0.2, 30)
     with pytest.raises(DataError):
         fisher_compare(0.5, 3, 0.2, 30)
+    with pytest.raises(DataError, match="^first sample: n must be an integer, got 10.5$"):
+        fisher_compare(0.1, 10.5, 0.2, 12)
 
 
 @given(
@@ -435,6 +443,10 @@ def test_fisher_ci_rejects_degenerate():
         fisher_ci(0.5, 3, 0.9)
     with pytest.raises(ParameterError, match="^confidence must lie strictly between 0 and 1"):
         fisher_ci(0.3, 20, 1.0)
+    with pytest.raises(DataError, match="^sample: n must be an integer, got True$"):
+        fisher_ci(0.1, True)
+    with pytest.raises(ParameterError, match="^confidence must lie strictly between 0 and 1"):
+        fisher_ci(0.1, 10, "x")
 
 
 # ---------------------------------------------------------------------------
