@@ -235,11 +235,15 @@ def monitor(
 ) -> tuple[MonitorState, StepStatus]:
     """Advance a monitor of this kind by one observation.
 
-    A DataError (a non-finite point, a zero index scale) leaves the state as it was.
+    A DataError (a non-number or non-finite point, a zero index scale) leaves the state as it was.
     """
     if state.kind != kind.name:
         raise ParameterError(f"state belongs to a {state.kind!r} detector")
-    raw_value = float(new_value)
+    try:
+        raw_value = float(new_value)
+    except (TypeError, ValueError):
+        position = len(state.raw) + 1
+        raise DataError(f"observation {new_value!r} at position {position} is not a number") from None
     if not math.isfinite(raw_value):
         raise DataError(f"observation {raw_value!r} at position {len(state.raw) + 1} is not finite")
     l = len(state.window)

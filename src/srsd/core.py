@@ -6,6 +6,7 @@ ends, so a series of length n is partitioned as [1, c1-1], [c1, c2-1], ...,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Literal, Sequence
@@ -52,14 +53,27 @@ def _check_int(value: object, name: str, error: type[ValueError] = ParameterErro
     return int(value)
 
 
-def _check_prob(prob: object, name: str = "prob") -> float:
-    if isinstance(prob, bool) or not isinstance(prob, Real) or not 0.0 < prob < 1.0:
-        raise ParameterError(f"{name} must lie strictly between 0 and 1, got {prob!r}")
-    return float(prob)
+def _check_real(
+    value: object, name: str, lo: float = -math.inf, hi: float = math.inf, error=ParameterError
+) -> float:
+    """value as a float: a real number, not a bool, strictly between lo and hi (so not NaN)."""
+    # A float (numpy's float64 is one) is a real number; isinstance on the ABC is ~20x slower.
+    real = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and lo < value < hi):
+        raise error(f"{name} must lie strictly between {lo:g} and {hi:g}, got {value!r}")
+    return float(value)
 
 
 def _as_float_array(values: Sequence[float], what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        for i, value in enumerate(np.ravel(np.asarray(values, dtype=object)), 1):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise DataError(f"{what}: {value!r} at position {i} is not a number") from None
+        raise
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -163,7 +177,7 @@ class DetectionParams:
 
     def __post_init__(self):
         # Plain Python numbers, so that numpy scalars serialize and print like literals.
-        object.__setattr__(self, "p", _check_prob(self.p, "p"))
+        object.__setattr__(self, "p", _check_real(self.p, "p", 0, 1))
         object.__setattr__(self, "l", _check_int(self.l, "l"))
         if self.l < 3:
             raise ParameterError(f"l must be at least 3, got {self.l}")

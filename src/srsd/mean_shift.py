@@ -22,6 +22,7 @@ from .core import (
     ParameterError,
     StepStatus,
     TimeSeries,
+    _check_real,
     as_series,
 )
 from .stats import running_avg_variance, student_t_quantile
@@ -41,7 +42,7 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     quantile at level p with 2l - 2 degrees of freedom and avg_var is the
     average variance of running l-point windows.
     """
-    if not 0.0 <= avg_var < math.inf:  # written so that a NaN avg_var fails too
+    if _check_real(avg_var, "avg_var") < 0:
         raise ParameterError(f"avg_var must be finite and non-negative, got {avg_var!r}")
     t = student_t_quantile(1.0 - params.p / 2.0, 2 * params.l - 2)
     return t * math.sqrt(2.0 * avg_var / params.l)

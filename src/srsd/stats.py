@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import fdtr, fdtri, ndtri, stdtr, stdtrit
 
-from .core import DataError, ParameterError, TimeSeries, _check_int, _check_prob, as_series
+from .core import DataError, ParameterError, TimeSeries, _check_int, _check_real, as_series
 
 __all__ = [
     "student_t_quantile",
@@ -52,7 +52,7 @@ _BLOCK = 2**16  # elements per block of sliding windows
 
 def student_t_quantile(prob: float, df: int) -> float:
     """Inverse CDF of Student's t distribution with df degrees of freedom."""
-    _check_prob(prob)
+    _check_real(prob, "prob", 0, 1)
     if _check_int(df, "df") < 1:
         raise ParameterError(f"df must be a positive integer, got {df!r}")
     return float(stdtrit(df, prob))
@@ -60,7 +60,7 @@ def student_t_quantile(prob: float, df: int) -> float:
 
 def f_quantile(prob: float, df1: int, df2: int) -> float:
     """Inverse CDF of the F distribution with (df1, df2) degrees of freedom."""
-    _check_prob(prob)
+    _check_real(prob, "prob", 0, 1)
     if _check_int(df1, "df1") < 1:
         raise ParameterError(f"df1 must be positive, got {df1!r}")
     if _check_int(df2, "df2") < 1:
@@ -121,8 +121,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
 def _check_fisher_args(r: float, n: int, what: str) -> None:
     if _check_int(n, f"{what}: n", DataError) < 4:
         raise DataError(f"{what}: Fisher transform requires n >= 4, got n={n}")
-    if not -1.0 < r < 1.0:
-        raise DataError(f"{what}: |r| must be < 1, got r={r}")
+    _check_real(r, f"{what}: r", -1, 1, DataError)
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def _fisher_z_p(r1: float, n1: int, r2: float, n2: int) -> tuple[float, float]:
 def fisher_ci(r: float, n: int, confidence: float = 0.90) -> tuple[float, float]:
     """Confidence interval for a correlation coefficient via Fisher's z."""
     _check_fisher_args(r, n, "sample")
-    _check_prob(confidence, "confidence")
+    _check_real(confidence, "confidence", 0, 1)
     z_crit = float(ndtri(0.5 + confidence / 2.0))
     half = z_crit / math.sqrt(n - 3)
     center = math.atanh(r)
@@ -272,8 +271,7 @@ def prewhiten(series: TimeSeries | Sequence[float], alpha: float) -> TimeSeries:
     input with the first observation dropped. Labels are carried from the
     surviving (later) points.
     """
-    if not -1.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
+    alpha = _check_real(alpha, "alpha", -1, 1)
     ts = as_series(series)
     if len(ts) < 2:
         raise DataError("prewhitening requires at least 2 observations")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, TimeSeries, _check_int, _is_int
+from .core import DataError, TimeSeries, _check_int, _check_real, _is_int
 
 __all__ = [
     "RegimeSpec",
@@ -52,9 +52,7 @@ def _normalize_segments(segments: Sequence[tuple[int, float]], what: str) -> Seg
             raise DataError(f"{what}: segment {item!r} is not a (start, value) pair")
         start, value = item
         start = _check_int(start, f"{what}: segment start", DataError)
-        if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
-            raise DataError(f"{what}: segment value must be a number, got {value!r}")
-        segs.append((start, float(value)))
+        segs.append((start, _check_real(value, f"{what} at {start}", error=DataError)))
     if not segs:
         raise DataError(f"{what}: at least one segment is required")
     if segs[0][0] != 1:
@@ -93,16 +91,9 @@ class RegimeSpec:
         for start, rho in self.correlation:
             if not -1.0 <= rho <= 1.0:
                 raise DataError(f"correlation at {start} must lie in [-1, 1], got {rho}")
-        for field_name in ("x_mean", "y_mean"):
-            for start, mean in getattr(self, field_name):
-                if not math.isfinite(mean):
-                    raise DataError(f"{field_name} at {start} must be finite, got {mean}")
         for field_name in ("x_variance", "y_variance"):
             for start, var in getattr(self, field_name):
-                if not 0.0 < var < math.inf:
-                    raise DataError(
-                        f"{field_name} at {start} must be positive and finite, got {var}"
-                    )
+                _check_real(var, f"{field_name} at {start}", 0, math.inf, DataError)
 
 
 def _expand(segments: Segments, n: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .core import (
     MonitorState,
     StepStatus,
     TimeSeries,
+    _check_real,
     as_series,
 )
 from .stats import f_quantile
@@ -43,8 +44,7 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     The bracket is (v * F, v / F) with F the two-tailed F quantile at level p
     with (l - 1, l - 1) degrees of freedom.
     """
-    if not 0.0 < current_variance < math.inf:  # written so that a NaN fails too
-        raise DataError(f"current variance must be finite and positive, got {current_variance!r}")
+    current_variance = _check_real(current_variance, "current variance", 0, math.inf, DataError)
     f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
     return current_variance * f_crit, current_variance / f_crit
 

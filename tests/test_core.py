@@ -72,6 +72,15 @@ def test_time_series_rejects_non_finite_values():
         TimeSeries([1.0, np.nan])
     with pytest.raises(DataError):
         TimeSeries([np.inf, 1.0])
+    with pytest.raises(DataError, match="^series values: 'abc' at position 2 is not a number$"):
+        TimeSeries([1.0, "abc"])
+    for values, position in (([1.0, object()], 2), (object(), 1)):  # not even a sequence
+        message = f"^series values: <object object at .*> at position {position} is not a number$"
+        with pytest.raises(DataError, match=message):
+            TimeSeries(values)
+    with pytest.raises(DataError, match="^series labels: 'a' at position 1 is not a number$"):
+        TimeSeries([1.0, 2.0], labels=["a", "b"])
+    assert TimeSeries(["1.5"]).values.tolist() == [1.5]  # float() reads a numeric string
 
 
 def test_time_series_label_validation():

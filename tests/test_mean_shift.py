@@ -27,9 +27,13 @@ def test_threshold_zero_variance_gives_zero():
     assert threshold_delta(DetectionParams(p=0.05, l=20), 0.0) == 0.0
 
 
-@pytest.mark.parametrize("avg_var", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("avg_var", [-1.0, float("nan"), float("inf"), "1.0", True])
 def test_threshold_rejects_bad_avg_var(avg_var):
-    with pytest.raises(ParameterError, match="avg_var must be finite and non-negative"):
+    if avg_var == -1.0:
+        message = "^avg_var must be finite and non-negative, got -1.0$"
+    else:  # not a real number, or not finite
+        message = f"^avg_var must lie strictly between -inf and inf, got {avg_var!r}$"
+    with pytest.raises(ParameterError, match=message):
         threshold_delta(DetectionParams(p=0.05, l=20), avg_var)
     with pytest.raises(ParameterError, match="avg_var"):
         init_mean_monitor(np.zeros(20), DetectionParams(p=0.05, l=20), avg_var=avg_var)

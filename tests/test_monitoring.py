@@ -291,7 +291,7 @@ def test_finalize_rejects_values_other_than_the_monitored_ones():
         finalize_mean(np.full(80, 5.0), mean_state)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "abc", None])
 @pytest.mark.parametrize("kind", ["mean", "variance"])
 def test_monitor_rejects_non_finite_observations_and_stays_usable(kind, bad):
     """A bad value fed mid-candidate raises and changes nothing."""

@@ -58,6 +58,10 @@ def test_prewhiten_rejects_bad_alpha_and_short_input():
         prewhiten([1.0, 2.0, 3.0], 1.0)
     with pytest.raises(ParameterError):
         prewhiten([1.0, 2.0, 3.0], -1.5)
+    for alpha in ("0.5", True):  # a real number, not a string or a bool
+        message = f"^alpha must lie strictly between -1 and 1, got {alpha!r}$"
+        with pytest.raises(ParameterError, match=message):
+            prewhiten([1.0, 2.0, 3.0], alpha)
     with pytest.raises(DataError):
         prewhiten([1.0], 0.2)
 

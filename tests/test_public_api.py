@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -189,6 +190,22 @@ def test_no_submodule_is_shadowed_by_a_name_srsd_binds():
     for name in submodules:
         if hasattr(srsd, name):
             assert getattr(srsd, name) is importlib.import_module(f"srsd.{name}"), name
+
+
+# A module that tests a value's type itself: it imports numbers or names numpy's scalar classes.
+TYPE_RULE = re.compile(r"^\s*(import|from)\s+numbers\b|\bnp\.(integer|floating)\b")
+
+
+def test_type_rules_live_in_core_alone():
+    """Only srsd.core decides what an integer or a real number is; other modules call it."""
+    hits = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(srsd.__file__).parent.glob("*.py"))
+        if path.name != "core.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if TYPE_RULE.search(line)
+    ]
+    assert hits == []
 
 
 def test_srsd_all_is_the_union_of_its_modules_all():

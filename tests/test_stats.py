@@ -369,6 +369,9 @@ def test_fisher_compare_rejects_degenerate():
         fisher_compare(0.5, 3, 0.2, 30)
     with pytest.raises(DataError, match="^first sample: n must be an integer, got 10.5$"):
         fisher_compare(0.1, 10.5, 0.2, 12)
+    message = "^first sample: r must lie strictly between -1 and 1, got '0.1'$"
+    with pytest.raises(DataError, match=message):
+        fisher_compare("0.1", 10, 0.2, 12)
 
 
 @given(
@@ -445,6 +448,9 @@ def test_fisher_ci_rejects_degenerate():
         fisher_ci(0.3, 20, 1.0)
     with pytest.raises(DataError, match="^sample: n must be an integer, got True$"):
         fisher_ci(0.1, True)
+    message = "^sample: r must lie strictly between -1 and 1, got True$"
+    with pytest.raises(DataError, match=message):
+        fisher_ci(True, 30)
     with pytest.raises(ParameterError, match="^confidence must lie strictly between 0 and 1"):
         fisher_ci(0.1, 10, "x")
 

@@ -1,6 +1,7 @@
 """Seeded bivariate generator with piecewise mean/variance/correlation."""
 
 import math
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -42,6 +43,8 @@ def test_same_seed_reproduces_bitwise():
     x2, y2 = generate_pair(clean_spec(500, 0.4, seed=99))
     assert np.array_equal(x1.values, x2.values)
     assert np.array_equal(y1.values, y2.values)
+    half = clean_spec(500, Fraction(1, 2), seed=99)  # any real number, stored as its float
+    assert half == clean_spec(500, 0.5, seed=99) and type(half.correlation[0][1]) is float
 
 
 def test_different_seeds_differ():
@@ -149,6 +152,7 @@ def test_generated_values_are_finite():
         {"seed": -1},  # seeds are integers >= 0, as numpy's generators need
         {"seed": 1.5},
         {"seed": True},
+        {"correlation": ((1, "0.5"),)},
     ],
 )
 def test_invalid_specs_rejected(overrides):

@@ -53,8 +53,9 @@ def test_critical_variances_reject_nonpositive():
         critical_variances(0.0, DetectionParams())
     with pytest.raises(DataError):
         critical_variances(-1.0, DetectionParams())
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(DataError, match="finite and positive"):
+    for bad in (float("nan"), float("inf"), "1.0", True):
+        message = f"^current variance must lie strictly between 0 and inf, got {bad!r}$"
+        with pytest.raises(DataError, match=message):
             critical_variances(bad, DetectionParams())
 
 
