@@ -43,6 +43,7 @@ from .core import (
     Regime,
     StepStatus,
     TimeSeries,
+    _partition,
     _stepwise,
     as_series,
 )
@@ -204,30 +205,24 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
 
     A candidate still under test when the series ends is emitted as a
     provisional change-point (its index kept its sign through every point
-    that was available), but it does not split the open regime: only
-    confirmed change-points delimit regime spans, so the last span runs to
-    the end of the series. The state itself is not modified.
+    that was available); like every provisional one, it splits no regime.
+    The state itself is not modified.
     """
-    n, confirmed, pend = len(ts), state.change_points, state.pending
     scanned = ts.values * ts.values if kind.squared else ts.values
-    regimes: list[Regime] = []
-    change_points: list[ChangePoint] = []
-    for cp, e in zip([None, *confirmed], [c.index - 1 for c in confirmed] + [n]):
-        s, p = 1, None
-        if cp is not None:
-            s, prev = cp.index, regimes[-1]
-            if prev.length >= 4 and e - s + 1 >= 4:
-                p = kind.span_test(scanned[prev.start - 1 : prev.end], scanned[s - 1 : e])
-            change_points.append(ChangePoint(s, cp.index_value, p))
-        # np.add.reduce / len is ndarray.mean's own sum and division, minus its wrapper.
-        value = float(np.add.reduce(scanned[s - 1 : e]) / (e - s + 1))
-        regimes.append(Regime(s, e, kind.name, value, p))
+    cps, pend = state.change_points, state.pending
     if pend is not None:
-        # No completed regime lies on its right, so its p-value stays None.
-        index_value = pend.csum / state.index_scale
-        change_points.append(ChangePoint(pend.index, index_value, provisional=True))
+        cps = [*cps, ChangePoint(pend.index, pend.csum / state.index_scale, provisional=True)]
+
+    def regime(s: int, e: int, p: float | None) -> Regime:
+        # np.add.reduce / len is ndarray.mean's own sum and division, minus its wrapper.
+        return Regime(s, e, kind.name, float(np.add.reduce(scanned[s - 1 : e]) / (e - s + 1)), p)
+
+    def test(a: int, s: int, e: int) -> float | None:
+        return kind.span_test(scanned[a - 1 : s - 1], scanned[s - 1 : e])
+
+    regimes, cps = _partition(len(ts), cps, regime, test)
     series = TimeSeries._derived(kind.output(ts.values, regimes), ts.labels, ts.name)
-    return ShiftResult(regimes, change_points, series)
+    return ShiftResult(regimes, cps, series)
 
 
 def monitor(

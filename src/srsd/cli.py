@@ -64,7 +64,7 @@ SCHEMA_VERSION = "1"
 
 
 def _floats(cells: list[str], column: str, rows: Sequence[int]) -> np.ndarray:
-    """One column's cells as floats; a bad cell is named with its physical row."""
+    """One column's cells as a fresh float array; a bad cell is named with its physical row."""
     try:
         return np.array(cells, dtype=float)  # float() on each str: same forms, same bits
     except ValueError:
@@ -121,7 +121,7 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
         except ValueError:
             pass
     return [
-        TimeSeries(_floats(cells[header.index(col) :: width], col, rows), labels=labels, name=col)
+        TimeSeries._derived(_floats(cells[header.index(col) :: width], col, rows), labels, col)
         for col in columns
     ]
 

@@ -32,6 +32,7 @@ from .core import (
     Regime,
     RegimeKind,
     TimeSeries,
+    _partition,
     as_series,
 )
 from .mean_shift import detect_mean
@@ -110,8 +111,8 @@ def _segment_r(x: np.ndarray, y: np.ndarray, start: int, end: int) -> float | No
 SpanR = Callable[[int, int], float | None]
 
 
-def _split_p_value(span_r: SpanR, index: int, left: int, right: int) -> float | None:
-    """Fisher comparison of the correlations adjacent to a candidate split."""
+def _split_p_value(span_r: SpanR, left: int, index: int, right: int) -> float | None:
+    """Fisher comparison of the correlations of [left, index - 1] and [index, right]."""
     n_left = index - left
     n_right = right - index + 1
     if n_left < 4 or n_right < 4:
@@ -152,7 +153,7 @@ def _merge_candidates(
         if cp is not None and prev and prev[0] != source and index - prev[1].index <= l / 2:
             cluster.append((source, cp))
             continue
-        p = {s: _split_p_value(span_r, c.index, last_boundary, index - 1) for s, c in cluster}
+        p = {s: _split_p_value(span_r, last_boundary, c.index, index - 1) for s, c in cluster}
         ok = {s: c.provisional or c.index - last_boundary >= 2 and c.index < n for s, c in cluster}
         winner = min(
             ((p[s] is None, p[s], c.index, c) for s, c in cluster if ok[s]),
@@ -173,31 +174,13 @@ def _merge_candidates(
     return records, accepted
 
 
-def _correlation_regimes(
-    span_r: SpanR, n: int, accepted: list[ChangePoint]
-) -> tuple[list[Regime], list[ChangePoint]]:
-    """The regimes the accepted confirmed change-points delimit, with their tests.
-
-    Provisional candidates are reported behind the confirmed ones but do not
-    split the final regime (channel indices sort them after every confirmed
-    change-point by construction).
-    """
-    confirmed = [cp for cp in accepted if not cp.provisional]
-    regimes: list[Regime] = []
-    change_points: list[ChangePoint] = []
-    for cp, e in zip([None, *confirmed], [c.index - 1 for c in confirmed] + [n]):
-        s = 1 if cp is None else cp.index
-        r = span_r(s, e)
-        if r is None:
-            raise DataError(f"correlation is undefined on regime [{s}, {e}]")
-        ci_low = ci_high = shift_p = None
-        if e - s + 1 >= 4 and abs(r) < 1.0:
-            ci_low, ci_high = fisher_ci(r, e - s + 1)
-        if cp is not None:
-            shift_p = _split_p_value(span_r, s, regimes[-1].start, e)
-            change_points.append(ChangePoint(s, cp.index_value, shift_p))
-        regimes.append(Regime(s, e, "correlation", r, shift_p, ci_low, ci_high))
-    return regimes, change_points + [cp for cp in accepted if cp.provisional]
+def _correlation_regime(span_r: SpanR, s: int, e: int, p: float | None) -> Regime:
+    """The correlation regime [s, e], with its 90 % Fisher-z interval where r allows one."""
+    r = span_r(s, e)
+    if r is None:
+        raise DataError(f"correlation is undefined on regime [{s}, {e}]")
+    ci = fisher_ci(r, e - s + 1) if e - s >= 3 and abs(r) < 1.0 else (None, None)
+    return Regime(s, e, "correlation", r, p, *ci)
 
 
 def detect_correlation(
@@ -240,7 +223,8 @@ def detect_correlation(
     records, accepted = _merge_candidates(
         span_r, n, sum_res.change_points, diff_res.change_points, params.l
     )
-    regimes, change_points = _correlation_regimes(span_r, n, accepted)
+    regime, test = partial(_correlation_regime, span_r), partial(_split_p_value, span_r)
+    regimes, change_points = _partition(n, accepted, regime, test)
     return CorrelationResult(
         regimes=regimes,
         change_points=change_points,

@@ -2,19 +2,25 @@
 
 import platform
 
+import numpy as np
 import pytest
+import scipy
 
 import srsd
 
 
 def pytest_report_header(config):
-    """Name the interpreter and its float sum: the corpora and JSON digests pin its bits.
+    """Name Python, its float sum, numpy and scipy: the corpora and JSON digests pin their bits.
 
     CPython 3.12 made the builtin sum of floats compensated, which moves the
-    last bits of some results that the frozen corpora and digests hold.
+    last bits of some results that the frozen corpora and digests hold; they
+    also hold the bits of numpy reductions and scipy.special kernels.
     """
     compensated = sum([0.1] * 10) == 1.0
-    return f"python {platform.python_version()}, builtin float sum compensated: {compensated}"
+    return (
+        f"python {platform.python_version()}, builtin float sum compensated: {compensated}, "
+        f"numpy {np.__version__}, scipy {scipy.__version__}"
+    )
 
 
 @pytest.fixture(scope="session")

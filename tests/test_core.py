@@ -28,6 +28,7 @@ from srsd import (
     running_avg_variance,
 )
 from srsd._engine import ShiftResult
+from srsd.core import _partition
 from srsd.cli import result_from_json, result_to_json
 
 
@@ -174,6 +175,42 @@ def test_regime_length_is_inclusive():
 def test_regime_rejects_an_end_before_its_start():
     with pytest.raises(DataError, match=r"invalid regime span \[3, 2\]"):
         Regime(start=3, end=2, kind="mean", value=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The partition rule that every regime kind takes its spans and tests from
+
+
+def partition_with_log(n, change_points):
+    """_partition with a recording test that returns 0.5 and mean-kind regimes."""
+    calls = []
+
+    def test(a, s, e):
+        calls.append((a, s, e))
+        return 0.5
+
+    regimes, cps = _partition(n, change_points, lambda s, e, p: Regime(s, e, "mean", 0.0, p), test)
+    return regimes, cps, calls
+
+
+def test_partition_tests_a_cut_only_with_four_points_on_each_side():
+    provisional = ChangePoint(10, 3.0, provisional=True)
+    cuts = [ChangePoint(4, 1.0), ChangePoint(8, -2.0), provisional]
+    regimes, cps, calls = partition_with_log(11, cuts)
+    # [1, 3] holds 3 points, so the cut at 4 is not tested; [4, 7] and [8, 11] hold 4 each.
+    assert calls == [(4, 8, 11)]
+    assert [(r.start, r.end) for r in regimes] == [(1, 3), (4, 7), (8, 11)]
+    assert cps[0] == ChangePoint(4, 1.0, None) and regimes[1].shift_p_value is None
+    assert cps[1] == ChangePoint(8, -2.0, 0.5) and regimes[2].shift_p_value == 0.5
+    assert regimes[0].shift_p_value is None
+    # The provisional change-point comes last, untested, and splits no regime.
+    assert cps[2] is provisional and len(cps) == 3
+
+
+def test_partition_does_not_test_a_cut_with_three_points_on_its_right():
+    regimes, cps, calls = partition_with_log(10, [ChangePoint(8, 1.0)])
+    assert calls == [] and cps == [ChangePoint(8, 1.0, None)]
+    assert [(r.start, r.end, r.shift_p_value) for r in regimes] == [(1, 7, None), (8, 10, None)]
 
 
 # ---------------------------------------------------------------------------
