@@ -12,10 +12,14 @@ Both detectors run the same state machine over a stream of observations:
   candidate folds back into the open regime and the points seen during the
   failed test are rescanned as ordinary observations.
 
-One kernel, `_scan`, runs the machine with a cursor over a list of scanned
-values; a failed test rewinds the cursor to the point after the candidate.
-Batch detection is one scan of the whole history, a monitor step one scan of
-the new observation after the values of the candidate it resumes.
+Two kernels run the machine. `_scan` moves a cursor over a list of scanned
+values and rewinds it to the point after the candidate of a failed test: a
+monitor step scans its new observation after the values of the candidate it
+resumes, and a batch scan of fewer than `_JUMP_MIN` points the whole history.
+Longer batch scans take `_jump_scan`: numpy finds every candidate and its
+test's outcome, and a loop jumps between them. Its sums are those of `sum`
+before Python 3.12, so where the import-time probe `_PLAIN_SUM` finds `sum`
+compensated, every scan loops.
 
 Everything that differs between the mean and the variance detector is one
 `Kind` record: the engine works on raw values for means and on squared
@@ -43,13 +47,16 @@ from .core import (
     Regime,
     StepStatus,
     TimeSeries,
+    _check_type,
     _partition,
     _stepwise,
     as_series,
 )
-from .stats import _pooled_t_p, _variance_ratio_p
+from .stats import _BLOCK, _pooled_t_p, _variance_ratio_p
 
 _STABLE = StepStatus(state="stable")
+_PLAIN_SUM = sum([1e16, 1.0, -1e16]) == 0.0  # sum adds left to right, as before Python 3.12
+_JUMP_MIN = 400  # series length from which init_state jumps; the loop wins below about 300 points
 
 
 def _detrend(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
@@ -129,11 +136,66 @@ def init_state(
     """
     if len(history) < l:
         raise DataError(f"series of length {len(history)} is shorter than l={l}")
-    values = history.values.tolist()
-    scanned = (history.values * history.values).tolist() if kind.squared else values
-    state = MonitorState(kind.name, threshold, index_scale, values, scanned[:l], None, [])
-    _scan(state, kind.multiplicative, scanned, 1, 1)
+    arr = history.values * history.values if kind.squared else history.values
+    state = MonitorState(kind.name, threshold, index_scale, [], arr[:l].tolist(), None, [])
+    if _PLAIN_SUM and len(arr) >= _JUMP_MIN:
+        _jump_scan(state, kind.multiplicative, arr)  # before raw is built: its peak leaves raw out
+    else:
+        _scan(state, kind.multiplicative, arr.tolist(), 1, 1)
+    state.raw = history.values.tolist()
     return state
+
+
+@np.errstate(all="ignore")  # overflow is silent, as in the loop's float arithmetic
+def _jump_scan(state: MonitorState, multiplicative: bool, arr: np.ndarray) -> None:
+    """What `_scan(state, multiplicative, arr.tolist(), 1, 1)` does to a fresh state.
+
+    Outside a test the estimate at arr[k] is the mean of arr[t : t + cap], t = max(k, cap) - cap,
+    whatever the scan did before, so each opener, its bound and its test's outcome follow from k
+    alone. Blocks of positions find them with numpy; the loop visits only the openers whose test
+    kept its sign, since after a failed test the loop's rescan only walks on to the next opener.
+    """
+    n, cap, th, cursor = len(arr), len(state.window), state.threshold, 1
+    size = _BLOCK // 4  # elements of a test matrix, such as the first 8 points of a block's tests
+    for b0 in range(1, n, size // 8):
+        b1 = min(n, b0 + size // 8)
+        t0, t1 = max(b0, cap) - cap, max(b1 - 1, cap) - cap + 1
+        est = np.zeros(t1 - t0) + arr[t0:t1]  # window sums in sum's order, from int 0, as on 3.11
+        for j in range(1, cap):
+            est += arr[t0 + j : t1 + j]
+        est = est[np.maximum(np.arange(b0, b1), cap) - cap - t0] / cap
+        lo, hi = (est / th, est * th) if multiplicative else (est - th, est + th)
+        up = arr[b0:b1] > hi
+        rows = np.flatnonzero(up | (arr[b0:b1] < lo))
+        if rows.size and state.index_scale <= 0.0:
+            raise DataError("degenerate series: shift index scale is zero")
+        up, crit, avail = up[rows], np.where(up, hi, lo)[rows], np.minimum(n - b0 - rows, cap)
+        seg = np.full(b1 - b0 + cap, np.nan)  # the tested values; past the end NaN loses no sign
+        seg[: n - b0] = arr[b0 : b0 + len(seg)]
+        # Sum the first 8 points of every test, then the rest of those that kept their sign.
+        csum, ok, live, done = np.zeros(rows.size), np.zeros(rows.size, bool), np.arange(rows.size), 0
+        while live.size:
+            w = min(cap - done, size // live.size if done else 8)
+            # d[j, r]: the running sum of test live[r] at its point done + j, in the loop's order.
+            d = seg[np.add.outer(np.arange(done, done + w), rows[live])] - crit[live]
+            d[0] += csum[live]
+            for j in range(1, w):
+                d[j] += d[j - 1]
+            lost = np.where(up[live], np.fmin.reduce(d) <= 0.0, np.fmax.reduce(d) >= 0.0)
+            csum[live] = d[np.minimum(avail[live] - done, w) - 1, np.arange(live.size)]
+            done += w
+            ok[live[~lost & (avail[live] <= done)]] = True
+            live = live[~lost & (avail[live] > done)]
+        for s, c, critical in zip((b0 + rows[ok]).tolist(), csum[ok].tolist(), crit[ok].tolist()):
+            if s < cursor:
+                continue
+            if s + cap > n:
+                state.pending = PendingCandidate(s + 1, critical, c, arr[s:].tolist())
+                state.window = arr[max(s, cap) - cap : max(s, cap)].tolist()
+                return
+            state.change_points.append(ChangePoint(s + 1, c / state.index_scale))
+            cursor = s + cap
+    state.window = arr[n - cap :].tolist()
 
 
 def _scan(
@@ -232,8 +294,14 @@ def monitor(
 
     A DataError (a non-number or non-finite point, a zero index scale) leaves the state as it was.
     """
-    if state.kind != kind.name:
-        raise ParameterError(f"state belongs to a {state.kind!r} detector")
+    try:
+        owner, params_l = state.kind, params.l
+    except AttributeError:  # types are checked only here, so that a step pays nothing for them
+        _check_type(state, MonitorState, "state")
+        _check_type(params, DetectionParams, "params")
+        raise
+    if owner != kind.name:
+        raise ParameterError(f"state belongs to a {owner!r} detector")
     try:
         raw_value = float(new_value)
     except (TypeError, ValueError):
@@ -242,8 +310,8 @@ def monitor(
     if not math.isfinite(raw_value):
         raise DataError(f"observation {raw_value!r} at position {len(state.raw) + 1} is not finite")
     l = len(state.window)
-    if params.l != l:
-        raise ParameterError(f"params.l={params.l} does not match monitor l={l}")
+    if params_l != l:
+        raise ParameterError(f"params.l={params_l} does not match monitor l={l}")
     value = raw_value * raw_value if kind.squared else raw_value
     pend = state.pending
     if pend is None:
@@ -268,7 +336,7 @@ def finalize(
     series must be exactly the monitored points, history included: the
     regimes come from the state and the output series from series.
     """
-    if state.kind != kind.name:
+    if _check_type(state, MonitorState, "state").kind != kind.name:
         raise ParameterError(f"state belongs to a {state.kind!r} detector")
     ts = as_series(series)
     if len(ts) != len(state.raw):

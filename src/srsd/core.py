@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Callable, Literal, Sequence
+from typing import Any, Callable, Literal, Sequence
 
 import numpy as np
 
@@ -63,6 +63,12 @@ def _check_real(
     if not (real and lo < value < hi):
         raise error(f"{name} must lie strictly between {lo:g} and {hi:g}, got {value!r}")
     return float(value)
+
+
+def _check_type(value: Any, cls: type, name: str) -> Any:
+    if not isinstance(value, cls):
+        raise ParameterError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _as_float_array(values: Sequence[float], what: str) -> np.ndarray:
@@ -258,11 +264,11 @@ class PendingCandidate:
 class MonitorState:
     """Full streaming state of a mean or variance detector.
 
-    The state is mutated only by the detector that owns it, through one scan
-    kernel whose cursor runs over the whole history in batch detection and
-    over each new observation in a monitor; a failed candidate test rewinds
-    it to the point after the candidate. raw holds every point fed, so the
-    newest one's index is len(raw). window holds the scanned values of the
+    The state is mutated only by the detector that owns it, through the
+    engine's kernels: a batch scan of the whole history, and one scan of each
+    new observation in a monitor, whose cursor a failed candidate test
+    rewinds to the point after the candidate. raw holds every point fed, so
+    the newest one's index is len(raw). window holds the scanned values of the
     open regime's newest l members, whose mean is its estimate, so l is
     len(window). Results derive the shift-index trace from change_points and
     pending.

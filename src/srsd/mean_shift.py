@@ -23,6 +23,7 @@ from .core import (
     StepStatus,
     TimeSeries,
     _check_real,
+    _check_type,
     as_series,
 )
 from .stats import running_avg_variance, student_t_quantile
@@ -72,6 +73,7 @@ def init_mean_monitor(
     detection threshold; by default it is computed from the supplied history.
     """
     ts = as_series(history)
+    _check_type(params, DetectionParams, "params")
     if avg_var is None:
         avg_var = running_avg_variance(ts, params.l)
     delta = threshold_delta(params, avg_var)

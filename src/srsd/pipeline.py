@@ -32,6 +32,7 @@ from .core import (
     Regime,
     RegimeKind,
     TimeSeries,
+    _check_type,
     _partition,
     as_series,
 )
@@ -292,9 +293,10 @@ def _run_pipeline(
     corr_params: DetectionParams | None,
     skip: frozenset[str],
 ) -> SrsdResult:
+    _check_type(params, DetectionParams, "params")
     if corr_params is None:
         corr_params = params
-    elif corr_params.m is not None:  # prewhitening params always set m
+    elif _check_type(corr_params, DetectionParams, "corr_params").m is not None:  # prewhitening sets m
         name = "m" if corr_params.prewhiten == "none" else "prewhiten"
         raise ParameterError(f"corr_params.{name} has no effect: prewhitening is set by params")
     xs, ys = _pair(x, y)
@@ -344,7 +346,7 @@ def step_skipping_mode(
     full pipeline is designed to avoid. Useful for demonstrations and for
     quantifying how much the adjustment steps matter on real data.
     """
-    skip_set = frozenset(skip)
+    skip_set = frozenset(_check_type(skip, Iterable, "skip"))
     bad = skip_set - {"mean", "variance"}
     if bad:
         raise ParameterError(f"unknown steps to skip: {sorted(bad)}")

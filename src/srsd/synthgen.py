@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, TimeSeries, _check_int, _check_real, _is_int
+from .core import DataError, TimeSeries, _check_int, _check_real, _check_type, _is_int
 
 __all__ = [
     "RegimeSpec",
@@ -106,7 +106,7 @@ def _expand(segments: Segments, n: int) -> np.ndarray:
 
 def generate_pair(spec: RegimeSpec) -> tuple[TimeSeries, TimeSeries]:
     """Draw one realization of the spec; deterministic in spec.seed."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(_check_type(spec, RegimeSpec, "spec").seed)
     z = rng.standard_normal((2, spec.n))
     rho = _expand(spec.correlation, spec.n)
     u = z[0]

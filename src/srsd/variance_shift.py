@@ -26,6 +26,7 @@ from .core import (
     StepStatus,
     TimeSeries,
     _check_real,
+    _check_type,
     as_series,
 )
 from .stats import f_quantile
@@ -67,6 +68,7 @@ def init_variance_monitor(
 ) -> MonitorState:
     """Initialize streaming variance monitoring from at least l residuals."""
     ts = as_series(history)
+    _check_type(params, DetectionParams, "params")
     f_crit = critical_variances(1.0, params)[0]  # 1.0 * F is F, bit for bit
     return _engine.init_state(VARIANCE, ts, params.l, f_crit, float(params.l))
 

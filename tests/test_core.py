@@ -27,6 +27,7 @@ from srsd import (
     run_srsd,
     running_avg_variance,
 )
+from srsd import _engine
 from srsd._engine import ShiftResult
 from srsd.core import _partition
 from srsd.cli import result_from_json, result_to_json
@@ -287,6 +288,34 @@ def test_shift_result_construction_allocates_no_trace():
         tracemalloc.stop()
     assert peak < 2**20
     assert res.trace[-1] == 1.0
+
+
+def test_a_batch_scan_allocates_blocks_not_windows(monkeypatch):
+    """A 200 000-point scan at l = 80 holds a few blocks of numpy work, not n * l tests.
+
+    Beyond its inputs, the state's list of raw points and, for variances, the
+    squares, its peak is a fixed bound; an unblocked opener-test matrix would
+    take n * l * 8 bytes, about 128 MB.
+    """
+    monkeypatch.setattr(_engine, "_PLAIN_SUM", True)  # the batch kernel on any interpreter
+    series = TimeSeries(np.random.default_rng(0).standard_normal(200_000))
+    params = DetectionParams(l=80)
+    tracemalloc.start()
+    try:
+        raw = series.values.tolist()
+        raw_peak = tracemalloc.get_traced_memory()[1]
+        del raw
+        for init, squares in (
+            (lambda: init_mean_monitor(series, params, avg_var=1.0), 0),
+            (lambda: init_variance_monitor(series, params), series.values.nbytes),
+        ):
+            tracemalloc.reset_peak()
+            state = init()
+            peak = tracemalloc.get_traced_memory()[1]
+            del state
+            assert peak - raw_peak - squares < 2 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

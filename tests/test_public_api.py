@@ -196,6 +196,24 @@ def test_no_submodule_is_shadowed_by_a_name_srsd_binds():
 TYPE_RULE = re.compile(r"^\s*(import|from)\s+numbers\b|\bnp\.(integer|floating)\b")
 
 
+_X, _P = np.linspace(-1.0, 1.0, 40), srsd.DetectionParams()
+WRONG_TYPES = {
+    "detect_mean": (lambda: srsd.detect_mean(_X, None), "params", "NoneType"),
+    "run_srsd": (lambda: srsd.run_srsd(_X, _X, _P, corr_params="x"), "corr_params", "str"),
+    "monitor_mean": (lambda: srsd.monitor_mean(None, 1.0, _P), "state", "NoneType"),
+    "finalize_mean": (lambda: srsd.finalize_mean(_X, None), "state", "NoneType"),
+    "generate_pair": (lambda: srsd.generate_pair("spec"), "spec", "str"),
+    "step_skipping_mode": (lambda: srsd.step_skipping_mode(_X, _X, _P, skip=5), "skip", "int"),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES)
+def test_a_wrong_object_argument_is_named_with_its_type(call):
+    run, argument, got = WRONG_TYPES[call]
+    with pytest.raises(srsd.ParameterError, match=rf"^{argument} must be of type \w+, got {got}$"):
+        run()
+
+
 def test_type_rules_live_in_core_alone():
     """Only srsd.core decides what an integer or a real number is; other modules call it."""
     hits = [

@@ -15,10 +15,18 @@ ties and on drawn ones, every `StepStatus` of the monitor is compared too,
 against the reference run on the points fed so far. `_window_mean` uses
 `sum`, as the kernel does, so both follow the same summation on any Python
 version.
+
+Batch scans of long series take a second kernel, `_engine._jump_scan`; every
+comparison runs once with each kernel forced, whatever the series length, and
+the two kernels are compared with each other on both frozen corpora and on
+series past the cut-over. The jump kernel's sums are those of `sum` before
+Python 3.12, so its runs are skipped where `sum` compensates.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +36,15 @@ from hypothesis import strategies as st
 import engine_corpus
 import srsd
 from srsd import DataError, DetectionParams, TimeSeries, _engine
+
+
+@contextmanager
+def kernel(name: str):
+    """Make init_state scan with the loop kernel, or with the jump kernel whatever the length."""
+    if name == "jump" and not _engine._PLAIN_SUM:
+        pytest.skip("the jump kernel adds as the builtin sum did before Python 3.12")
+    with mock.patch.object(_engine, "_JUMP_MIN", 0 if name == "jump" else math.inf):
+        yield
 
 
 def _window_mean(members: list[float], l: int) -> float:
@@ -204,6 +221,12 @@ def _check(
 
 
 KINDS = pytest.mark.parametrize("kind", [_engine.MEAN, _engine.VARIANCE], ids=lambda k: k.name)
+# Each kind on the loop kernel, then on the jump kernel (ids "mean-jump", "variance-jump").
+KINDS_AND_KERNELS = pytest.mark.parametrize(
+    "kind, kernel_name",
+    [(kind, name) for name in ("loop", "jump") for kind in (_engine.MEAN, _engine.VARIANCE)],
+    ids=["mean", "variance", "mean-jump", "variance-jump"],
+)
 
 
 @pytest.fixture(scope="module")
@@ -211,24 +234,25 @@ def corpus_cases():
     return engine_corpus.all_cases()
 
 
-@KINDS
-def test_engine_follows_the_reference_on_the_corpus(kind, corpus_cases):
+@KINDS_AND_KERNELS
+def test_engine_follows_the_reference_on_the_corpus(kind, kernel_name, corpus_cases):
     """Batch on every series the detectors scan; the corpus's monitors from its k."""
     compared = streamed = 0
-    for meta, values in corpus_cases:
-        params = DetectionParams(p=meta["p"], l=meta["l"])
-        if len(values) < params.l:
-            continue
-        k = engine_corpus.stream_start(meta)
-        threshold, scale = _calibration(kind, values, params)
-        if _check(kind, values, params, threshold, scale, k):
-            compared += 1
-            streamed += k is not None
+    with kernel(kernel_name):
+        for meta, values in corpus_cases:
+            params = DetectionParams(p=meta["p"], l=meta["l"])
+            if len(values) < params.l:
+                continue
+            k = engine_corpus.stream_start(meta)
+            threshold, scale = _calibration(kind, values, params)
+            if _check(kind, values, params, threshold, scale, k):
+                compared += 1
+                streamed += k is not None
     assert compared > 1900 and streamed > 450
 
 
-@KINDS
-def test_engine_follows_the_reference_on_exact_ties(kind):
+@KINDS_AND_KERNELS
+def test_engine_follows_the_reference_on_exact_ties(kind, kernel_name):
     """Small integers and a power-of-two threshold keep every sum exact.
 
     So shift indices land on exactly zero and points on exactly the critical
@@ -236,17 +260,18 @@ def test_engine_follows_the_reference_on_exact_ties(kind):
     """
     threshold = 2.0 if kind.multiplicative else 1.0
     rng = np.random.default_rng(20261018)
-    for _ in range(150):
-        params = DetectionParams(l=int(rng.choice([4, 8])))
-        values = rng.integers(-3, 4, size=int(rng.integers(params.l, 50))).astype(float)
-        k = int(rng.integers(params.l, len(values) + 1))
-        _check(kind, values, params, threshold, 1.0, k, statuses=True)
+    with kernel(kernel_name):
+        for _ in range(150):
+            params = DetectionParams(l=int(rng.choice([4, 8])))
+            values = rng.integers(-3, 4, size=int(rng.integers(params.l, 50))).astype(float)
+            k = int(rng.integers(params.l, len(values) + 1))
+            _check(kind, values, params, threshold, 1.0, k, statuses=True)
 
 
-@KINDS
+@KINDS_AND_KERNELS
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_engine_follows_the_reference_on_drawn_series(kind, data):
+def test_engine_follows_the_reference_on_drawn_series(kind, kernel_name, data):
     """Rounded values with constant stretches, optionally offset by 1e12."""
     l = data.draw(st.integers(3, 8), label="l")
     params = DetectionParams(p=data.draw(st.sampled_from([0.05, 0.5])), l=l)
@@ -259,4 +284,113 @@ def test_engine_follows_the_reference_on_drawn_series(kind, data):
     )
     threshold, scale = _calibration(kind, values, params)
     k = data.draw(st.integers(l, n), label="k")
-    _check(kind, values, params, threshold, scale, k, statuses=True)
+    with kernel(kernel_name):
+        _check(kind, values, params, threshold, scale, k, statuses=True)
+
+
+def test_both_kernels_agree_on_both_corpora(monkeypatch):
+    """Every batch scan of both corpora, jumped and looped: same bits, same errors.
+
+    The corpora's detectors and monitors run on jump-scanned states and must
+    reproduce every frozen record, errors included; each of their init_state
+    calls (the pipeline's six scans of a pair among them) is also rerun on
+    the loop and compared: change-points, pending candidate and window.
+    """
+    init_state, scans = _engine.init_state, []
+
+    def both(*args):
+        outcomes = []
+        for name in ("loop", "jump"):  # the caller gets the jump kernel's state
+            with kernel(name):
+                try:
+                    state = init_state(*args)
+                    outcomes.append(_engine_outcome(state))
+                except DataError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], f"{args[0].name} {args[1].values.tolist()} l={args[2]}"
+        scans.append(outcomes[0])
+        if isinstance(outcomes[0], str):
+            raise DataError(outcomes[0])
+        return state
+
+    monkeypatch.setattr(_engine, "init_state", both)
+    for record, (meta, values) in zip(engine_corpus.load(), engine_corpus.all_cases()):
+        diff = engine_corpus.first_difference(record, engine_corpus.run_case(meta, values))
+        assert diff is None, f"{engine_corpus.describe(meta)}: {diff}"
+    pipeline = engine_corpus.load(engine_corpus.PIPELINE_CORPUS)
+    for record, (meta, x, y) in zip(pipeline, engine_corpus.all_pairs()):
+        diff = engine_corpus.pipeline_difference(record, engine_corpus.run_pair_case(meta, x, y))
+        assert diff is None, f"{engine_corpus.describe(meta)}: {diff}"
+    pending = sum(not isinstance(o, str) and o[1] is not None for o in scans)
+    assert len(scans) > 8000 and pending > 5000 and sum(isinstance(o, str) for o in scans) > 50
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain_sum", "compensated_sum"])
+def test_init_state_jumps_only_from_the_cut_over_and_where_sum_adds_plainly(monkeypatch, plain):
+    assert _engine._PLAIN_SUM == (sum([0.1] * 10) != 1.0)  # the probe agrees with another one
+    taken = []
+    monkeypatch.setattr(_engine, "_PLAIN_SUM", plain)
+    monkeypatch.setattr(_engine, "_jump_scan", lambda *args: taken.append("jump"))
+    monkeypatch.setattr(_engine, "_scan", lambda *args: taken.append("loop"))
+    for n in (_engine._JUMP_MIN - 1, _engine._JUMP_MIN, 5 * _engine._JUMP_MIN):
+        for kind in (_engine.MEAN, _engine.VARIANCE):
+            _engine.init_state(kind, TimeSeries(np.ones(n)), 20, 1.0, 1.0)
+    assert taken == ["loop"] * 2 + ["jump" if plain else "loop"] * 4
+
+
+def _long_series(n: int, seed: int, l: int = 20) -> np.ndarray:
+    """White noise with planted mean and variance shifts, a rounded and a constant stretch.
+
+    For even seeds the last l // 2 points jump up, so the scans end in a candidate's test.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    for a in rng.integers(0, n, size=6):
+        x[a:] += rng.normal(0.0, 1.5)
+        x[a:] *= rng.uniform(0.5, 2.0)
+    a = int(rng.integers(0, n - 100))
+    x[a : a + 100] = np.round(x[a : a + 100])
+    x[a + 100 : a + 150] = x[a + 100]
+    x[n - l // 2 :] += 10.0 * (seed % 2 == 0)
+    return x
+
+
+def _hexed_cps(result):
+    return [(cp.index, cp.index_value.hex(), cp.provisional) for cp in result.change_points]
+
+
+@pytest.mark.parametrize("l", [5, 20, 80])
+def test_detectors_past_the_cut_over_jump_to_the_loops_results(l):
+    """Series of several blocks of positions, each end hit: pending, confirmed and quiet."""
+    params = DetectionParams(p=0.05, l=l)
+    pending = 0
+    for seed in range(4):
+        values = _long_series(_engine._JUMP_MIN + 2500 * seed + 37 * l, seed, l)
+        for detect in (srsd.detect_mean, srsd.detect_variance):
+            jumped = detect(values, params)
+            with kernel("loop"):
+                looped = detect(values, params)
+            assert jumped == looped
+            assert _hexed_cps(jumped) == _hexed_cps(looped)
+            pending += jumped.change_points[-1].provisional if jumped.change_points else 0
+    assert pending >= 2
+
+
+@KINDS
+def test_a_monitor_continues_a_jump_scanned_history_as_a_looped_one(kind):
+    """Histories past the cut-over, some ending inside a candidate's test."""
+    params = DetectionParams(p=0.05, l=20)
+    values = _long_series(1200, 7)
+    threshold, scale = _calibration(kind, values, params)
+    resumed = 0
+    for k in range(_engine._JUMP_MIN + 500, _engine._JUMP_MIN + 540, 3):
+        runs = []
+        for name in ("jump", "loop"):
+            with kernel(name):
+                state = _engine.init_state(kind, TimeSeries(values[:k]), 20, threshold, scale)
+            resumed += name == "jump" and state.pending is not None
+            steps = (_engine.monitor(kind, state, v, params)[1] for v in values[k:].tolist())
+            statuses = [_status(status) for status in steps]
+            runs.append((statuses, _engine_outcome(state), state.raw))
+        assert runs[0] == runs[1], f"from {k}"
+    assert resumed > 0
