@@ -47,6 +47,7 @@ from .core import (
     Regime,
     StepStatus,
     TimeSeries,
+    _check_length,
     _check_type,
     _partition,
     _stepwise,
@@ -134,8 +135,7 @@ def init_state(
     inside the bootstrap window are still found; index 1 alone can never be a
     change-point.
     """
-    if len(history) < l:
-        raise DataError(f"series of length {len(history)} is shorter than l={l}")
+    _check_length(history, l, "l")
     arr = history.values * history.values if kind.squared else history.values
     state = MonitorState(kind.name, threshold, index_scale, [], arr[:l].tolist(), None, [])
     if _PLAIN_SUM and len(arr) >= _JUMP_MIN:
@@ -296,6 +296,7 @@ def monitor(
     """
     try:
         owner, params_l = state.kind, params.l
+        window, raw, pend = state.window, state.raw, state.pending  # up to three names build no tuple
     except AttributeError:  # types are checked only here, so that a step pays nothing for them
         _check_type(state, MonitorState, "state")
         _check_type(params, DetectionParams, "params")
@@ -305,23 +306,21 @@ def monitor(
     try:
         raw_value = float(new_value)
     except (TypeError, ValueError):
-        position = len(state.raw) + 1
+        position = len(raw) + 1
         raise DataError(f"observation {new_value!r} at position {position} is not a number") from None
     if not math.isfinite(raw_value):
-        raise DataError(f"observation {raw_value!r} at position {len(state.raw) + 1} is not finite")
-    l = len(state.window)
-    if params_l != l:
-        raise ParameterError(f"params.l={params_l} does not match monitor l={l}")
+        raise DataError(f"observation {raw_value!r} at position {len(raw) + 1} is not finite")
+    if params_l != len(window):
+        raise ParameterError(f"params.l={params_l} does not match monitor l={len(window)}")
     value = raw_value * raw_value if kind.squared else raw_value
-    pend = state.pending
     if pend is None:
-        buf, base = [value], len(state.raw) + 1
+        buf, base = [value], len(raw) + 1
     else:
         buf, base = pend.values, pend.index
         buf.append(value)
     # _scan raises only before it changes the state, so raw takes the point after it.
     confirmed = _scan(state, kind.multiplicative, buf, base, len(buf) - 1)
-    state.raw.append(raw_value)
+    raw.append(raw_value)
     pend = state.pending
     if pend is not None:
         return state, StepStatus("candidate", pend.index, pend.csum / state.index_scale)

@@ -40,6 +40,7 @@ import numpy as np
 from . import __version__
 from ._engine import ShiftResult
 from .core import (
+    _PREWHITEN_METHODS,
     ChangePoint,
     DataError,
     DetectionParams,
@@ -51,7 +52,7 @@ from .core import (
 from .mean_shift import detect_mean
 from .pipeline import CandidateRecord, SrsdResult, _prewhitened, run_srsd
 from .stats import Ar1Estimate, _pearson
-from .synthgen import RegimeSpec, canonical_spec, generate_pair
+from .synthgen import _SEGMENT_FIELDS, RegimeSpec, canonical_spec, generate_pair
 from .variance_shift import detect_variance
 
 __all__ = ["main", "parse_csv", "result_to_json", "result_from_json"]
@@ -63,10 +64,19 @@ SCHEMA_VERSION = "1"
 # CSV input
 
 
-def _floats(cells: list[str], column: str, rows: Sequence[int]) -> np.ndarray:
-    """One column's cells as a fresh float array; a bad cell is named with its physical row."""
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, without the byte order mark it may start with."""
     try:
-        return np.array(cells, dtype=float)  # float() on each str: same forms, same bits
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _floats(cells: list[str], column: str, rows: Sequence[int]) -> np.ndarray:
+    """One column's cells as a fresh finite float array; a bad cell is named with its file row."""
+    try:
+        values = np.array(cells, dtype=float)  # float() on each str: same forms, same bits
     except ValueError:
         for cell, row in zip(cells, rows):
             try:
@@ -76,6 +86,11 @@ def _floats(cells: list[str], column: str, rows: Sequence[int]) -> np.ndarray:
                     f"could not parse {cell.strip()!r} in column {column!r} at row {row}"
                 ) from None
         raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        cell, row = cells[bad[0]].strip(), rows[bad[0]]
+        raise DataError(f"non-finite value {cell!r} in column {column!r} at row {row}")
+    return values
 
 
 def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
@@ -85,11 +100,7 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
     1); blank lines are skipped. The first column doubles as time labels when
     it is not itself selected and holds finite, strictly increasing numbers.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: file is empty")
     header = [name.strip() for name in lines[0].split(",")]
@@ -374,21 +385,18 @@ def _cmd_detect_correlation(args: argparse.Namespace) -> None:
 
 def _spec_from_file(path: str, seed: int) -> RegimeSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or "n" not in doc:
         raise DataError(f"{path}: spec must be a JSON object with at least 'n'")
     if "correlation" not in doc:
         raise DataError(f"{path}: spec requires a 'correlation' segment list")
-    keys = ("correlation", "x_mean", "y_mean", "x_variance", "y_variance")
-    unknown = sorted(set(doc) - {"n", *keys})
+    known = ("n", *_SEGMENT_FIELDS)
+    unknown = sorted(set(doc).difference(known))
     if unknown:
-        raise DataError(f"{path}: unknown spec keys {unknown}; known: n, {', '.join(keys)}")
-    return RegimeSpec(doc["n"], **{key: doc[key] for key in keys if key in doc}, seed=seed)
+        raise DataError(f"{path}: unknown spec keys {unknown}; known: {', '.join(known)}")
+    return RegimeSpec(doc["n"], **{k: doc[k] for k in _SEGMENT_FIELDS if k in doc}, seed=seed)
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
@@ -455,22 +463,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_params(sub: argparse.ArgumentParser, corr: bool = False) -> None:
-    sub.add_argument("--p", type=float, default=0.05, help="target significance level (default 0.05)")
-    sub.add_argument("--l", type=int, default=20, help="cut-off length (default 20)")
+    p, l, method, m = (f.default for f in fields(DetectionParams))
+    sub.add_argument("--p", type=float, default=p, help=f"target significance level (default {p})")
+    sub.add_argument("--l", type=int, default=l, help=f"cut-off length (default {l})")
     sub.add_argument(
         "--prewhiten",
-        choices=("none", "mpk", "ip4"),
-        default="none",
-        help="AR(1) prewhitening with the given bias correction (default none)",
+        choices=_PREWHITEN_METHODS,
+        default=method,
+        help=f"AR(1) prewhitening with the given bias correction (default {method})",
     )
-    sub.add_argument("--m", type=int, default=None, help="subsample size for AR(1) estimation")
-    if corr:
-        sub.add_argument(
-            "--p-corr", type=float, default=None, help="override p for the correlation step"
-        )
-        sub.add_argument(
-            "--l-corr", type=int, default=None, help="override l for the correlation step"
-        )
+    sub.add_argument("--m", type=int, default=m, help="subsample size for AR(1) estimation")
+    if corr:  # when unset they are None, argparse's default, and the step takes --p and --l
+        sub.add_argument("--p-corr", type=float, help="override p for the correlation step")
+        sub.add_argument("--l-corr", type=int, help="override l for the correlation step")
 
 
 def _add_io(sub: argparse.ArgumentParser, n_columns: int) -> None:
@@ -482,7 +487,7 @@ def _add_io(sub: argparse.ArgumentParser, n_columns: int) -> None:
             "value column name" if n_columns == 1 else "two value column names, comma-separated"
         ),
     )
-    sub.add_argument("--output", default=None, help="output path (default: stdout)")
+    sub.add_argument("--output", help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,11 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(run=_cmd_generate)
     sub.add_argument("--seed", type=int, default=0, help="generator seed (SRSD_SEED overrides)")
     sub.add_argument(
-        "--spec",
-        default=None,
-        help="JSON regime description; defaults to the built-in reference scenario",
+        "--spec", help="JSON regime description; defaults to the built-in reference scenario"
     )
-    sub.add_argument("--output", default=None, help="output path (default: stdout)")
+    sub.add_argument("--output", help="output path (default: stdout)")
 
     sub = commands.add_parser(
         "diagnose", help="emit running correlations (and optional RSI/RSSI traces)"
@@ -525,9 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--window", type=int, default=21, help="running-correlation window (default 21)"
     )
-    sub.add_argument(
-        "--traces", default=None, help="also write per-index RSI/RSSI traces to this CSV"
-    )
+    sub.add_argument("--traces", help="also write per-index RSI/RSSI traces to this CSV")
     return parser
 
 

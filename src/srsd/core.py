@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Any, Callable, Literal, Sequence
+from typing import Any, Callable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 PrewhitenMethod = Literal["none", "mpk", "ip4"]
+_PREWHITEN_METHODS = get_args(PrewhitenMethod)
 RegimeKind = Literal["mean", "variance", "correlation"]
 
 
@@ -166,6 +167,31 @@ def as_series(data: TimeSeries | Sequence[float], name: str | None = None) -> Ti
     return TimeSeries(data, name=name)
 
 
+def _pair(
+    x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]
+) -> tuple[TimeSeries, TimeSeries]:
+    """x and y as series of one length whose labels agree where both have them."""
+    xs = as_series(x, name="x")
+    ys = as_series(y, name="y")
+    if len(xs) != len(ys):
+        raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
+    if xs.labels is not None and ys.labels is not None:
+        differ = np.flatnonzero(xs.labels != ys.labels)
+        if differ.size:
+            k = int(differ[0])
+            raise DataError(
+                f"series labels differ at position {k + 1}: "
+                f"{float(xs.labels[k])!r} vs {float(ys.labels[k])!r}"
+            )
+    return xs, ys
+
+
+def _check_length(ts: TimeSeries, size: int, name: str) -> TimeSeries:
+    if len(ts) < size:
+        raise DataError(f"series of length {len(ts)} is shorter than {name}={size}")
+    return ts
+
+
 @dataclass(frozen=True)
 class DetectionParams:
     """Tuning knobs shared by all detectors.
@@ -188,16 +214,13 @@ class DetectionParams:
         object.__setattr__(self, "l", _check_int(self.l, "l"))
         if self.l < 3:
             raise ParameterError(f"l must be at least 3, got {self.l}")
-        if self.prewhiten not in ("none", "mpk", "ip4"):
-            raise ParameterError(
-                f"prewhiten must be one of 'none', 'mpk', 'ip4', got {self.prewhiten!r}"
-            )
+        if self.prewhiten not in _PREWHITEN_METHODS:
+            methods = ", ".join(map(repr, _PREWHITEN_METHODS))
+            raise ParameterError(f"prewhiten must be one of {methods}, got {self.prewhiten!r}")
         if self.m is not None:
             object.__setattr__(self, "m", _check_int(self.m, "m"))
             if not (5 <= self.m < self.l):
-                raise ParameterError(
-                    f"m must satisfy 5 <= m < l (l={self.l}), got {self.m}"
-                )
+                raise ParameterError(f"m must satisfy 5 <= m < l (l={self.l}), got {self.m}")
         elif self.prewhiten != "none":
             raise ParameterError("m must be set when prewhiten is enabled")
 

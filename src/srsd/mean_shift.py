@@ -43,6 +43,7 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     quantile at level p with 2l - 2 degrees of freedom and avg_var is the
     average variance of running l-point windows.
     """
+    _check_type(params, DetectionParams, "params")
     if _check_real(avg_var, "avg_var") < 0:
         raise ParameterError(f"avg_var must be finite and non-negative, got {avg_var!r}")
     t = student_t_quantile(1.0 - params.p / 2.0, 2 * params.l - 2)
@@ -73,9 +74,8 @@ def init_mean_monitor(
     detection threshold; by default it is computed from the supplied history.
     """
     ts = as_series(history)
-    _check_type(params, DetectionParams, "params")
-    if avg_var is None:
-        avg_var = running_avg_variance(ts, params.l)
+    if avg_var is None:  # else threshold_delta is the first to read params, and checks them
+        avg_var = running_avg_variance(ts, _check_type(params, DetectionParams, "params").l)
     delta = threshold_delta(params, avg_var)
     scale = params.l * math.sqrt(avg_var)
     return _engine.init_state(MEAN, ts, params.l, delta, scale)

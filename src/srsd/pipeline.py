@@ -33,8 +33,8 @@ from .core import (
     RegimeKind,
     TimeSeries,
     _check_type,
+    _pair,
     _partition,
-    as_series,
 )
 from .mean_shift import detect_mean
 from .stats import Ar1Estimate, _fisher_z_p, _pearson, estimate_ar1, fisher_ci, prewhiten
@@ -49,25 +49,6 @@ __all__ = [
     "run_srsd",
     "step_skipping_mode",
 ]
-
-
-def _pair(
-    x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]
-) -> tuple[TimeSeries, TimeSeries]:
-    """x and y as series of one length whose labels agree where both have them."""
-    xs = as_series(x, name="x")
-    ys = as_series(y, name="y")
-    if len(xs) != len(ys):
-        raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
-    if xs.labels is not None and ys.labels is not None:
-        differ = np.flatnonzero(xs.labels != ys.labels)
-        if differ.size:
-            k = int(differ[0])
-            raise DataError(
-                f"series labels differ at position {k + 1}: "
-                f"{float(xs.labels[k])!r} vs {float(ys.labels[k])!r}"
-            )
-    return xs, ys
 
 
 def sum_diff_channels(
@@ -197,8 +178,7 @@ def detect_correlation(
     the artifacts that `run_srsd` removes. Each correlation regime carries
     its 90 % Fisher-z confidence interval (`fisher_ci` gives other levels).
     """
-    xs = as_series(x)
-    ys = as_series(y)
+    xs, ys = _pair(x, y)
     total, diff = sum_diff_channels(xs, ys)
     n = len(xs)
     # A degenerate channel means the inputs are exactly (anti)proportional:

@@ -32,7 +32,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import fdtr, fdtri, ndtri, stdtr, stdtrit
 
-from .core import DataError, ParameterError, TimeSeries, _check_int, _check_real, as_series
+from .core import DataError, ParameterError, TimeSeries, _check_int, _check_length, _check_real
+from .core import _pair, as_series
 
 __all__ = [
     "student_t_quantile",
@@ -69,9 +70,11 @@ def f_quantile(prob: float, df1: int, df2: int) -> float:
 
 
 def _window_blocks(values: np.ndarray, l: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, rows) blocks of about _BLOCK elements of the l-point windows of values."""
+    """(first row, rows) blocks of about _BLOCK elements: l-point windows less their means."""
     windows, rows = sliding_window_view(values, l), max(1, _BLOCK // l)
-    return ((start, windows[start : start + rows]) for start in range(0, len(windows), rows))
+    for start in range(0, len(windows), rows):
+        block = windows[start : start + rows]
+        yield start, block - np.add.reduce(block, axis=1, keepdims=True) / l
 
 
 def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
@@ -83,21 +86,16 @@ def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     ts = as_series(series)
     if _check_int(l, "window length l") < 2:
         raise ParameterError(f"window length l must be at least 2, got {l}")
-    if len(ts) < l:
-        raise DataError(f"series of length {len(ts)} is shorter than l={l}")
+    _check_length(ts, l, "l")
     variances = np.empty(len(ts) - l + 1)  # np.var(ddof=1), then np.mean, by their own steps
-    for row, windows in _window_blocks(ts.values, l):
-        dev = windows - np.add.reduce(windows, axis=1, keepdims=True) / l
+    for row, dev in _window_blocks(ts.values, l):
         variances[row : row + len(dev)] = np.add.reduce(np.square(dev, out=dev), axis=1) / (l - 1)
     return float(np.add.reduce(variances) / len(variances))
 
 
 def pearson_r(x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]) -> float:
-    """Pearson correlation coefficient of two equal-length series."""
-    xs = as_series(x)
-    ys = as_series(y)
-    if len(xs) != len(ys):
-        raise DataError(f"series lengths differ: {len(xs)} vs {len(ys)}")
+    """Pearson correlation coefficient of two equal-length series whose labels agree."""
+    xs, ys = _pair(x, y)
     if len(xs) < 2:
         raise DataError("correlation requires at least 2 observations")
     r = _pearson(xs.values, ys.values)
@@ -208,8 +206,7 @@ class Ar1Estimate:
 def _subsample_lag1(values: np.ndarray, m: int) -> np.ndarray:
     """Ordinary lag-1 autocorrelation estimate for every m-point window."""
     ratios = []
-    for _, windows in _window_blocks(values, m):
-        dev = windows - windows.mean(axis=1, keepdims=True)
+    for _, dev in _window_blocks(values, m):
         num = np.sum(dev[:, :-1] * dev[:, 1:], axis=1)
         den = np.sum(dev * dev, axis=1)
         keep = den > 0.0
@@ -240,18 +237,17 @@ def estimate_ar1(
     bias-corrected ordinary estimate, clamped to (-0.99, 0.99); `clamped`
     records whether the clamp was hit.
     """
-    if method not in ("mpk", "ip4"):
-        raise ParameterError(f"method must be 'mpk' or 'ip4', got {method!r}")
+    methods = {"mpk": _correct_mpk, "ip4": _correct_ip4}  # each method's bias correction
+    correct = methods.get(method) if isinstance(method, str) else None  # a list does not hash
+    if correct is None:
+        raise ParameterError(f"method must be {' or '.join(map(repr, methods))}, got {method!r}")
     if _check_int(m, "m") < 5:
         raise ParameterError(f"subsample size m must be at least 5, got {m}")
-    ts = as_series(series)
-    if len(ts) < m:
-        raise DataError(f"series of length {len(ts)} is shorter than m={m}")
+    ts = _check_length(as_series(series), m, "m")
     raw = _subsample_lag1(ts.values, m)
     if raw.size == 0:
         raise DataError("AR(1) estimation is undefined: every subsample is constant")
-    corrected = _correct_mpk(raw, m) if method == "mpk" else _correct_ip4(raw, m)
-    alpha = float(np.median(corrected, overwrite_input=True))
+    alpha = float(np.median(correct(raw, m), overwrite_input=True))
     clamped = not (-_CLAMP < alpha < _CLAMP)
     alpha = min(max(alpha, -_CLAMP), _CLAMP)
     return Ar1Estimate(

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 Segments = tuple[tuple[int, float], ...]
+_SEGMENT_FIELDS = ("correlation", "x_mean", "y_mean", "x_variance", "y_variance")  # of RegimeSpec
 
 # Seed of the frozen canonical fixture (see data/canonical_fixture.csv).
 CANONICAL_SEED = 4580
@@ -83,7 +84,7 @@ class RegimeSpec:
         if _check_int(self.n, "n", DataError) < 1:
             raise DataError(f"n must be positive, got {self.n}")
         _check_seed(self.seed, "seed")
-        for field_name in ("correlation", "x_mean", "y_mean", "x_variance", "y_variance"):
+        for field_name in _SEGMENT_FIELDS:
             segs = _normalize_segments(getattr(self, field_name), field_name)
             object.__setattr__(self, field_name, segs)
             if segs[-1][0] > self.n:
@@ -91,7 +92,7 @@ class RegimeSpec:
         for start, rho in self.correlation:
             if not -1.0 <= rho <= 1.0:
                 raise DataError(f"correlation at {start} must lie in [-1, 1], got {rho}")
-        for field_name in ("x_variance", "y_variance"):
+        for field_name in _SEGMENT_FIELDS[-2:]:  # the variances
             for start, var in getattr(self, field_name):
                 _check_real(var, f"{field_name} at {start}", 0, math.inf, DataError)
 

@@ -46,6 +46,7 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     with (l - 1, l - 1) degrees of freedom.
     """
     current_variance = _check_real(current_variance, "current variance", 0, math.inf, DataError)
+    _check_type(params, DetectionParams, "params")
     f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
     return current_variance * f_crit, current_variance / f_crit
 
@@ -68,7 +69,6 @@ def init_variance_monitor(
 ) -> MonitorState:
     """Initialize streaming variance monitoring from at least l residuals."""
     ts = as_series(history)
-    _check_type(params, DetectionParams, "params")
     f_crit = critical_variances(1.0, params)[0]  # 1.0 * F is F, bit for bit
     return _engine.init_state(VARIANCE, ts, params.l, f_crit, float(params.l))
 

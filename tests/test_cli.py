@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -121,7 +122,10 @@ def test_parse_csv_crlf_padding_and_float_forms(tmp_path):
 def test_parse_csv_non_finite_cell_is_a_series_error(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("t,v\n1,0.5\n2,nan\n3,1.5\n")
-    with pytest.raises(DataError, match="non-finite value at position 2"):
+    with pytest.raises(DataError, match=r"^non-finite value 'nan' in column 'v' at row 3$"):
+        parse_csv(str(path), ["v"])
+    path.write_text("t,v\n1,0.5\n\n2, -inf\n3,1.5\n")  # a blank line: the file row, not the position
+    with pytest.raises(DataError, match=r"^non-finite value '-inf' in column 'v' at row 4$"):
         parse_csv(str(path), ["v"])
 
 
@@ -196,6 +200,11 @@ def _reference_parse_csv(path, columns):
                 raise DataError(
                     f"could not parse {cells[col].strip()!r} in column {name!r} at row {rownum}"
                 ) from None
+        for (rownum, cells), value in zip(rows, values):
+            if not math.isfinite(value):
+                raise DataError(
+                    f"non-finite value {cells[col].strip()!r} in column {name!r} at row {rownum}"
+                )
         out.append(TimeSeries(values, labels=labels, name=name))
     return out
 
@@ -579,6 +588,17 @@ def test_generate_malformed_spec_is_a_data_error(tmp_path, capsys):
         assert "data error" in err
     assert "'x_means'" in err
     assert not out.exists()
+
+
+def test_generate_reads_a_spec_with_a_byte_order_mark(tmp_path):
+    spec = json.dumps({"n": 40, "correlation": [[1, 0.2], [21, -0.5]]}).encode()
+    outputs = []
+    for name, payload in (("plain.json", spec), ("bom.json", b"\xef\xbb\xbf" + spec)):
+        spec_path, out = tmp_path / name, tmp_path / f"{name}.csv"
+        spec_path.write_bytes(payload)
+        assert run_cli("generate", "--spec", spec_path, "--seed", "7", "--output", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

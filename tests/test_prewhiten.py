@@ -82,6 +82,8 @@ def test_estimate_rejects_an_unknown_method_a_float_m_and_a_constant_series():
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError, match="method must be 'mpk' or 'ip4'"):
         estimate_ar1(rng.standard_normal(30), 10, "ols")
+    with pytest.raises(ParameterError, match=r"^method must be 'mpk' or 'ip4', got \['mpk'\]$"):
+        estimate_ar1(rng.standard_normal(30), 10, ["mpk"])  # unhashable
     with pytest.raises(ParameterError, match="m must be an integer"):
         estimate_ar1(rng.standard_normal(30), 10.0, "mpk")
     with pytest.raises(DataError, match="every subsample is constant"):

@@ -204,6 +204,12 @@ WRONG_TYPES = {
     "finalize_mean": (lambda: srsd.finalize_mean(_X, None), "state", "NoneType"),
     "generate_pair": (lambda: srsd.generate_pair("spec"), "spec", "str"),
     "step_skipping_mode": (lambda: srsd.step_skipping_mode(_X, _X, _P, skip=5), "skip", "int"),
+    "threshold_delta": (lambda: srsd.threshold_delta(None, 1.0), "params", "NoneType"),
+    "critical_variances": (lambda: srsd.critical_variances(1.0, None), "params", "NoneType"),
+    # A state of another type that has a kind attribute.
+    "monitor_mean_regime": (
+        lambda: srsd.monitor_mean(srsd.Regime(1, 5, "mean", 0.0), 1.0, _P), "state", "Regime"
+    ),
 }
 
 
@@ -224,6 +230,22 @@ def test_type_rules_live_in_core_alone():
         if TYPE_RULE.search(line)
     ]
     assert hits == []
+
+
+# The messages of srsd.core's pair rule (_pair) and length rule (_check_length).
+SHAPE_MESSAGES = ("series lengths differ", "is shorter than")
+
+
+def test_series_shape_rules_live_in_core_alone():
+    """Only srsd.core writes the pair and the length messages; other modules call its checks."""
+    hits = [
+        (path.name, message)
+        for path in sorted(Path(srsd.__file__).parent.glob("*.py"))
+        for line in path.read_text().splitlines()
+        for message in SHAPE_MESSAGES
+        if message in line
+    ]
+    assert hits == [("core.py", message) for message in SHAPE_MESSAGES]
 
 
 def test_srsd_all_is_the_union_of_its_modules_all():

@@ -314,6 +314,14 @@ def test_pearson_rejects_degenerate_inputs():
         pearson_r([1.0], [2.0])
 
 
+def test_pearson_rejects_series_whose_labels_differ():
+    x = TimeSeries([1.0, 2.0, 4.0], labels=[1.0, 2.0, 3.0])
+    y = TimeSeries([1.0, 3.0, 2.0], labels=[1.0, 2.0, 4.0])
+    with pytest.raises(DataError, match=r"^series labels differ at position 3: 3\.0 vs 4\.0$"):
+        pearson_r(x, y)
+    assert pearson_r(x, y.values) == pearson_r(x.values, y.values)  # one side has no labels
+
+
 def test_pipeline_segment_r_equals_pearson_r_bit_for_bit():
     """The pipeline's unchecked path gives pearson_r's exact bits on any slice."""
     from srsd.pipeline import _segment_r
