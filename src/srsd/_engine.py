@@ -77,10 +77,8 @@ def _normalize(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
 class Kind:
     """What the mean and the variance detector do differently.
 
-    squared: the engine scans x * x instead of x, so each regime's statistic
-        (the mean of the scanned values) is a mean square, not a mean.
-    multiplicative: the critical bounds are estimate / F and estimate * F
-        instead of estimate - delta and estimate + delta.
+    squared: the engine scans x * x instead of x, so a regime's statistic is a mean square,
+        and brackets it by estimate / F and estimate * F instead of estimate -/+ delta.
     span_test: p-value of the shift between two adjacent regimes, given the
         scanned values of each; both hold at least 4 points.
     output: the input series adjusted by the regime statistics.
@@ -88,13 +86,12 @@ class Kind:
 
     name: Literal["mean", "variance"]
     squared: bool
-    multiplicative: bool
     span_test: Callable[[np.ndarray, np.ndarray], float | None]
     output: Callable[[np.ndarray, list[Regime]], np.ndarray]
 
 
-MEAN = Kind("mean", False, False, _pooled_t_p, _detrend)
-VARIANCE = Kind("variance", True, True, _variance_ratio_p, _normalize)
+MEAN = Kind("mean", False, _pooled_t_p, _detrend)
+VARIANCE = Kind("variance", True, _variance_ratio_p, _normalize)
 
 
 @dataclass
@@ -139,9 +136,9 @@ def init_state(
     arr = history.values * history.values if kind.squared else history.values
     state = MonitorState(kind.name, threshold, index_scale, [], arr[:l].tolist(), None, [])
     if _PLAIN_SUM and len(arr) >= _JUMP_MIN:
-        _jump_scan(state, kind.multiplicative, arr)  # before raw is built: its peak leaves raw out
+        _jump_scan(state, kind.squared, arr)  # before raw is built: its peak leaves raw out
     else:
-        _scan(state, kind.multiplicative, arr.tolist(), 1, 1)
+        _scan(state, kind.squared, arr.tolist(), 1, 1)
     state.raw = history.values.tolist()
     return state
 
@@ -292,7 +289,7 @@ def monitor(
 ) -> tuple[MonitorState, StepStatus]:
     """Advance a monitor of this kind by one observation.
 
-    A DataError (a non-number or non-finite point, a zero index scale) leaves the state as it was.
+    A DataError (a non-number, a non-finite point or square, a zero index scale) leaves the state.
     """
     try:
         owner, params_l = state.kind, params.l
@@ -308,18 +305,21 @@ def monitor(
     except (TypeError, ValueError):
         position = len(raw) + 1
         raise DataError(f"observation {new_value!r} at position {position} is not a number") from None
-    if not math.isfinite(raw_value):
-        raise DataError(f"observation {raw_value!r} at position {len(raw) + 1} is not finite")
+    value = raw_value * raw_value if kind.squared else raw_value
+    if not math.isfinite(value):  # the scanned value: a finite x squares to inf from |x| = 2**512
+        why = "is not finite"
+        if math.isfinite(raw_value):
+            why = f"overflows when squared; |x| must lie below {2.0**512:.3g}"
+        raise DataError(f"observation {raw_value!r} at position {len(raw) + 1} {why}")
     if params_l != len(window):
         raise ParameterError(f"params.l={params_l} does not match monitor l={len(window)}")
-    value = raw_value * raw_value if kind.squared else raw_value
     if pend is None:
         buf, base = [value], len(raw) + 1
     else:
         buf, base = pend.values, pend.index
         buf.append(value)
     # _scan raises only before it changes the state, so raw takes the point after it.
-    confirmed = _scan(state, kind.multiplicative, buf, base, len(buf) - 1)
+    confirmed = _scan(state, kind.squared, buf, base, len(buf) - 1)
     raw.append(raw_value)
     pend = state.pending
     if pend is not None:

@@ -67,10 +67,14 @@ SCHEMA_VERSION = "1"
 def _read_text(path: str) -> str:
     """The text of a UTF-8 file, without the byte order mark it may start with."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8").removeprefix("\ufeff")  # splitlines takes \r\n and \r too
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:  # decoded whole, so its start is the file's byte offset
+        byte = f"0x{exc.object[exc.start]:02x}"
+        raise DataError(f"{path}: not UTF-8 text (byte {byte} at offset {exc.start})") from None
 
 
 def _floats(cells: list[str], column: str, rows: Sequence[int]) -> np.ndarray:
@@ -347,8 +351,8 @@ def _corr_params_from_args(
     )
 
 
-def _columns(args: argparse.Namespace, expected: int) -> list[str]:
-    names = [c.strip() for c in args.columns.split(",") if c.strip()]
+def _columns(args: argparse.Namespace) -> list[str]:
+    expected, names = args.n_columns, [c.strip() for c in args.columns.split(",") if c.strip()]
     if len(names) != expected:
         raise ParameterError(
             f"{args.command} requires exactly {expected} column"
@@ -359,7 +363,7 @@ def _columns(args: argparse.Namespace, expected: int) -> list[str]:
 
 def _cmd_detect_single(args: argparse.Namespace) -> None:
     params = _params_from_args(args)
-    (series,) = parse_csv(args.input, _columns(args, 1))
+    (series,) = parse_csv(args.input, _columns(args))
     series, ar1 = _prewhitened(series, params)
     detect = detect_mean if args.command == "detect-mean" else detect_variance
     res = detect(series, params)
@@ -373,7 +377,7 @@ def _cmd_detect_single(args: argparse.Namespace) -> None:
 
 def _run_pair(args: argparse.Namespace) -> SrsdResult:
     params = _params_from_args(args)
-    x, y = parse_csv(args.input, _columns(args, 2))
+    x, y = parse_csv(args.input, _columns(args))
     return run_srsd(x, y, params, corr_params=_corr_params_from_args(args, params))
 
 
@@ -462,7 +466,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_params(sub: argparse.ArgumentParser, corr: bool = False) -> None:
+def _add_inputs(sub: argparse.ArgumentParser, n_columns: int) -> None:
+    """The input, output and detection options of a command that reads n_columns (1 or 2)."""
+    sub.set_defaults(n_columns=n_columns)  # the count _columns checks
+    sub.add_argument("input", help="input CSV with a header row")
+    sub.add_argument(
+        "--columns",
+        required=True,
+        help=(
+            "value column name" if n_columns == 1 else "two value column names, comma-separated"
+        ),
+    )
+    sub.add_argument("--output", help="output path (default: stdout)")
     p, l, method, m = (f.default for f in fields(DetectionParams))
     sub.add_argument("--p", type=float, default=p, help=f"target significance level (default {p})")
     sub.add_argument("--l", type=int, default=l, help=f"cut-off length (default {l})")
@@ -473,21 +488,9 @@ def _add_params(sub: argparse.ArgumentParser, corr: bool = False) -> None:
         help=f"AR(1) prewhitening with the given bias correction (default {method})",
     )
     sub.add_argument("--m", type=int, default=m, help="subsample size for AR(1) estimation")
-    if corr:  # when unset they are None, argparse's default, and the step takes --p and --l
+    if n_columns == 2:  # the correlation step's; unset, they are None and it takes --p and --l
         sub.add_argument("--p-corr", type=float, help="override p for the correlation step")
         sub.add_argument("--l-corr", type=int, help="override l for the correlation step")
-
-
-def _add_io(sub: argparse.ArgumentParser, n_columns: int) -> None:
-    sub.add_argument("input", help="input CSV with a header row")
-    sub.add_argument(
-        "--columns",
-        required=True,
-        help=(
-            "value column name" if n_columns == 1 else "two value column names, comma-separated"
-        ),
-    )
-    sub.add_argument("--output", help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub = commands.add_parser(name, help=helptext)
         sub.set_defaults(run=run)
-        _add_io(sub, n_columns)
-        _add_params(sub, corr=n_columns == 2)
+        _add_inputs(sub, n_columns)
         sub.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = commands.add_parser("generate", help="write a synthetic bivariate CSV")
@@ -523,10 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnose", help="emit running correlations (and optional RSI/RSSI traces)"
     )
     sub.set_defaults(run=_cmd_diagnose)
-    _add_io(sub, 2)
-    _add_params(sub, corr=True)
+    _add_inputs(sub, 2)
     sub.add_argument(
-        "--window", type=int, default=21, help="running-correlation window (default 21)"
+        "--window", type=int, default=21, help="running-correlation window (default %(default)s)"
     )
     sub.add_argument("--traces", help="also write per-index RSI/RSSI traces to this CSV")
     return parser

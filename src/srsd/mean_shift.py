@@ -46,7 +46,11 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     _check_type(params, DetectionParams, "params")
     if _check_real(avg_var, "avg_var") < 0:
         raise ParameterError(f"avg_var must be finite and non-negative, got {avg_var!r}")
-    t = student_t_quantile(1.0 - params.p / 2.0, 2 * params.l - 2)
+    prob, df = 1.0 - params.p / 2.0, 2 * params.l - 2
+    # Where 1 - p/2 rounds to 1 (p below about 2.2e-16), t's symmetry gives it from p/2.
+    t = student_t_quantile(prob, df) if prob < 1.0 else -student_t_quantile(params.p / 2.0, df)
+    if not math.isfinite(t):  # scipy's kernel at a tail of about 1e-290 and small df
+        raise ParameterError(f"p={params.p!r} is too small for l={params.l}: t is not finite")
     return t * math.sqrt(2.0 * avg_var / params.l)
 
 

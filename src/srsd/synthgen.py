@@ -98,11 +98,9 @@ class RegimeSpec:
 
 
 def _expand(segments: Segments, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=float)
-    starts = [s for s, _ in segments] + [n + 1]
-    for (start, value), nxt in zip(segments, starts[1:]):
-        out[start - 1 : nxt - 1] = value
-    return out
+    """Each segment's value repeated over its span, as core._stepwise repeats regimes'."""
+    starts, values = zip(*segments)
+    return np.repeat(np.array(values, dtype=float), np.diff([*starts, n + 1]))
 
 
 def generate_pair(spec: RegimeSpec) -> tuple[TimeSeries, TimeSeries]:

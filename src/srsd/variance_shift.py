@@ -23,6 +23,7 @@ from .core import (
     DataError,
     DetectionParams,
     MonitorState,
+    ParameterError,
     StepStatus,
     TimeSeries,
     _check_real,
@@ -47,7 +48,11 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     """
     current_variance = _check_real(current_variance, "current variance", 0, math.inf, DataError)
     _check_type(params, DetectionParams, "params")
-    f_crit = f_quantile(1.0 - params.p / 2.0, params.l - 1, params.l - 1)
+    prob, df = 1.0 - params.p / 2.0, params.l - 1
+    # Where 1 - p/2 rounds to 1, F(df, df) maps to itself under inversion: take 1 / F at p/2.
+    f_crit = f_quantile(prob, df, df) if prob < 1.0 else 1.0 / f_quantile(params.p / 2.0, df, df)
+    if not math.isfinite(f_crit):  # scipy's kernel at a tail of about 1e-290 and small df
+        raise ParameterError(f"p={params.p!r} is too small for l={params.l}: F is not finite")
     return current_variance * f_crit, current_variance / f_crit
 
 

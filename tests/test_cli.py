@@ -590,6 +590,24 @@ def test_generate_malformed_spec_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (("detect-mean", "{path}", "--columns", "v"), b"v\n1.0\n2.\xff\n"),
+        (("generate", "--spec", "{path}"), b'{"n": 5, "correlation": [[1, 0.\xff]]}'),
+    ],
+    ids=["csv", "spec"],
+)
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, argv, payload):
+    """The message names the file and the byte offset of the first byte that does not decode."""
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbf" + payload)  # the offset counts the byte order mark
+    assert run_cli(*(arg.format(path=path) for arg in argv)) == 2
+    offset = 3 + payload.index(b"\xff")
+    message = f"{path}: not UTF-8 text (byte 0xff at offset {offset})"
+    assert capsys.readouterr().err == f"srsd: data error: {message}\n"
+
+
 def test_generate_reads_a_spec_with_a_byte_order_mark(tmp_path):
     spec = json.dumps({"n": 40, "correlation": [[1, 0.2], [21, -0.5]]}).encode()
     outputs = []

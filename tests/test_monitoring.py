@@ -310,6 +310,23 @@ def test_monitor_rejects_non_finite_observations_and_stays_usable(kind, bad):
     assert state == twin
 
 
+def test_variance_monitor_rejects_a_value_whose_square_overflows():
+    """1e200 is finite but squares to inf: the step names it and the bound, and stores nothing."""
+    params = DetectionParams()
+    state = init_variance_monitor(np.random.default_rng(0).standard_normal(200), params)
+    twin = copy.deepcopy(state)
+    for big in (1e200, -(2.0**512)):
+        with pytest.raises(DataError) as info:
+            monitor_variance(state, big, params)
+        assert str(info.value) == (
+            f"observation {big!r} at position 201 overflows when squared;"
+            " |x| must lie below 1.34e+154"
+        )
+        assert state == twin
+    largest = float(np.nextafter(2.0**512, 0.0))  # squares to the largest finite float or below
+    assert monitor_variance(state, largest, params)[1].state == "candidate"
+
+
 def test_monitor_step_on_a_zero_index_scale_raises_and_changes_nothing():
     """The degenerate-series error leaves raw as it was, so positions stay right."""
     params = DetectionParams(l=5)

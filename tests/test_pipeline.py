@@ -454,6 +454,25 @@ def test_white_noise_pipeline_band():
     assert max(abs_r) < 0.35
 
 
+def test_a_tiny_p_takes_its_quantiles_from_the_lower_tail(canonical, monkeypatch):
+    """Below p of about 2.2e-16, 1 - p/2 rounds to 1; the quantiles then come from p/2."""
+    x, y, _ = canonical
+    params = DetectionParams(p=1e-300)
+    t, f = srsd.student_t_quantile(5e-301, 38), srsd.f_quantile(5e-301, 19, 19)
+    assert srsd.threshold_delta(params, 0.1) == -t * np.sqrt(2.0 * 0.1 / 20)
+    assert srsd.critical_variances(1.0, params) == (1.0 / f, f)
+    assert srsd.detect_mean(x, params).change_points == []
+    assert srsd.detect_variance(x, params).change_points == []
+    result = run_srsd(x, y, params)
+    assert result.correlation.change_points == [] and len(result.correlation.regimes) == 1
+    # A kernel that fails so far out (scipy 1.17's t at l = 4 to 7, its F at l = 7 to 10) names p.
+    monkeypatch.setattr(srsd.mean_shift, "student_t_quantile", lambda prob, df: np.inf)
+    monkeypatch.setattr(srsd.variance_shift, "f_quantile", lambda prob, df1, df2: np.nan)
+    for detect, q in ((srsd.detect_mean, "t"), (srsd.detect_variance, "F")):
+        with pytest.raises(ParameterError, match=f"^p=1e-300 is too small for l=20: {q} is not"):
+            detect(x, params)
+
+
 def test_per_step_parameter_override(canonical):
     x, y, _ = canonical
     corr_params = DetectionParams(p=0.3, l=15)

@@ -201,6 +201,9 @@ WRONG_TYPES = {
     "detect_mean": (lambda: srsd.detect_mean(_X, None), "params", "NoneType"),
     "run_srsd": (lambda: srsd.run_srsd(_X, _X, _P, corr_params="x"), "corr_params", "str"),
     "monitor_mean": (lambda: srsd.monitor_mean(None, 1.0, _P), "state", "NoneType"),
+    "monitor_mean_params": (
+        lambda: srsd.monitor_mean(srsd.init_mean_monitor(_X, _P), 1.0, None), "params", "NoneType"
+    ),
     "finalize_mean": (lambda: srsd.finalize_mean(_X, None), "state", "NoneType"),
     "generate_pair": (lambda: srsd.generate_pair("spec"), "spec", "str"),
     "step_skipping_mode": (lambda: srsd.step_skipping_mode(_X, _X, _P, skip=5), "skip", "int"),

@@ -154,7 +154,7 @@ def _assert_window_invariants(kind, state, scanned: list[float], l: int) -> None
     first = max(cursor - 1 - l, 0)
     assert state.window == scanned[first : first + l]
     if pend is not None:
-        lo, hi = _bounds(_window_mean(state.window, l), state.threshold, kind.multiplicative)
+        lo, hi = _bounds(_window_mean(state.window, l), state.threshold, kind.squared)
         assert pend.critical == (hi if pend.csum > 0.0 else lo)
 
 
@@ -165,7 +165,7 @@ def _scanned(kind, values: np.ndarray) -> list[float]:
 def _reference(kind, values: np.ndarray, l: int, threshold: float, index_scale: float):
     scanned = _scanned(kind, values)
     try:
-        scan = reference_scan(scanned, l, threshold, kind.multiplicative, index_scale)
+        scan = reference_scan(scanned, l, threshold, kind.squared, index_scale)
     except DataError as exc:
         return str(exc)
     return _hexed(*scan)
@@ -174,7 +174,7 @@ def _reference(kind, values: np.ndarray, l: int, threshold: float, index_scale: 
 def _reference_status(kind, values: np.ndarray, t: int, l: int, threshold: float, scale: float):
     """What a monitor reports after point t: the reference's outcome on the first t points."""
     scanned = _scanned(kind, values[:t])
-    cps, pending, _ = reference_scan(scanned, l, threshold, kind.multiplicative, scale)
+    cps, pending, _ = reference_scan(scanned, l, threshold, kind.squared, scale)
     if pending is not None:
         return "candidate", pending[0], (pending[2] / scale).hex()
     if cps and cps[-1][0] + l - 1 == t:
@@ -258,7 +258,7 @@ def test_engine_follows_the_reference_on_exact_ties(kind, kernel_name):
     So shift indices land on exactly zero and points on exactly the critical
     levels, which calibrated thresholds on real-valued data almost never do.
     """
-    threshold = 2.0 if kind.multiplicative else 1.0
+    threshold = 2.0 if kind.squared else 1.0
     rng = np.random.default_rng(20261018)
     with kernel(kernel_name):
         for _ in range(150):
@@ -266,6 +266,8 @@ def test_engine_follows_the_reference_on_exact_ties(kind, kernel_name):
             values = rng.integers(-3, 4, size=int(rng.integers(params.l, 50))).astype(float)
             k = int(rng.integers(params.l, len(values) + 1))
             _check(kind, values, params, threshold, 1.0, k, statuses=True)
+        # A zero index scale: the first candidate raises, as in the reference.
+        assert not _check(kind, np.repeat([0.0, 3.0], 4), DetectionParams(l=4), threshold, 0.0)
 
 
 @KINDS_AND_KERNELS

@@ -134,6 +134,8 @@ def test_f_quantile_reciprocal_identity(prob, df1, df2):
 def test_f_quantile_rejects_bad_inputs():
     with pytest.raises(ParameterError):
         f_quantile(0.5, 0, 3)
+    with pytest.raises(ParameterError, match="^df2 must be positive, got 0$"):
+        f_quantile(0.9, 3, 0)
     with pytest.raises(ParameterError):
         f_quantile(1.0, 3, 3)
     with pytest.raises(ParameterError, match="df1"):
