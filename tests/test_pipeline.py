@@ -473,6 +473,17 @@ def test_a_tiny_p_takes_its_quantiles_from_the_lower_tail(canonical, monkeypatch
             detect(x, params)
 
 
+def test_a_p_beyond_the_t_kernel_is_named_with_l(canonical):
+    """The real kernel's t at l = 4, p = 1e-300 is not finite; the detector names p and l."""
+    x, _, _ = canonical
+    params = DetectionParams(p=1e-300, l=4)
+    with pytest.raises(ParameterError, match="^p=1e-300 is too small for l=4: t is not finite$"):
+        srsd.threshold_delta(params, 0.1)
+    with pytest.raises(ParameterError, match="^p=1e-300 is too small for l=4: t is not finite$"):
+        srsd.detect_mean(x, params)
+    assert srsd.detect_variance(x, params).regimes  # F is finite at l = 4
+
+
 def test_per_step_parameter_override(canonical):
     x, y, _ = canonical
     corr_params = DetectionParams(p=0.3, l=15)

@@ -146,6 +146,19 @@ def test_f_quantile_rejects_bad_inputs():
         f_quantile(0.9, 3, 2.5)
 
 
+def test_quantiles_raise_where_the_kernel_is_not_finite():
+    """scipy 1.17's kernels fail near a tail of 1e-290 with few degrees of freedom."""
+    with pytest.raises(ParameterError, match=r"^t quantile at prob=5e-301 with df=6 is not fin"):
+        student_t_quantile(5e-301, 6)
+    for d in range(6, 10):
+        with pytest.raises(
+            ParameterError, match=rf"^F quantile at prob=5e-301 with df1={d}, df2={d} is not fin"
+        ):
+            f_quantile(5e-301, d, d)
+    assert math.isfinite(student_t_quantile(5e-301, 38))
+    assert math.isfinite(f_quantile(5e-301, 19, 19))
+
+
 # ---------------------------------------------------------------------------
 # Running average variance
 
