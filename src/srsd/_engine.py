@@ -323,8 +323,8 @@ def monitor(
     raw.append(raw_value)
     pend = state.pending
     if pend is not None:
-        return state, StepStatus._of("candidate", pend.index, pend.csum / state.index_scale, None)
-    return state, _STABLE if confirmed is None else StepStatus._of("confirmed", None, None, confirmed)
+        return state, StepStatus("candidate", pend.index, pend.csum / state.index_scale)
+    return state, _STABLE if confirmed is None else StepStatus("confirmed", None, None, confirmed)
 
 
 def finalize(

@@ -19,10 +19,12 @@ Formats
 -------
 CSV input has a header row; value columns are selected by name with
 --columns. If the first column is not selected and holds finite, strictly
-increasing numbers, it is used as time labels (years, typically). CSV output
-uses 9 significant digits; JSON output uses shortest round-trip floats and
-carries a "schema_version" field, so identical inputs and config produce
-byte-identical files. Exit codes: 0 success, 1 usage error, 2 data error.
+increasing numbers, it is used as time labels (years, typically); a first
+column with an empty name holds row names (R's write.csv, a pandas index), so
+the second is tested instead. CSV output uses 9 significant digits; JSON output
+uses shortest round-trip floats and carries a "schema_version" field, so
+identical inputs and config produce byte-identical files. Exit codes: 0
+success, 1 usage error, 2 data error.
 """
 from __future__ import annotations
 
@@ -129,7 +131,8 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
     1); blank lines are skipped. Cells and header names may be quoted, as
     RFC 4180 and R's write.csv quote them. The first column doubles as time
     labels when it is not itself selected and holds finite, strictly
-    increasing numbers.
+    increasing numbers; one with an empty name holds row names (R's write.csv
+    and pandas write them), so the second column is tested in its place.
     """
     text = _read_text(path)
     if '"' in text:  # the csv module's reader; plain text takes the splitter below
@@ -162,10 +165,10 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
         raise DataError(f"{path}: row {rows[k]} has {commas[k] + 1} cells, expected {width}")
     if not kept:
         raise DataError(f"{path}: no observations")
-    labels = None
-    if header[0] not in columns:
+    labels, first = None, int(header[0] == "")  # an unnamed first column holds row names
+    if first < width and header[first] not in columns:
         try:  # text, repeats, falls or non-finite values are simply not labels
-            labels = _labels(cells[::width], len(kept))
+            labels = _labels(cells[first::width], len(kept))
         except ValueError:
             pass
     return [
@@ -213,11 +216,6 @@ def _from_obj(tp: Any, obj: Any) -> Any:
     return obj
 
 
-@functools.cache
-def _key(key: str) -> str:
-    return json.dumps(key) + ": "
-
-
 def _scalar(value: Any) -> str:
     """A scalar's JSON, as json.dumps(value, allow_nan=False) writes it."""
     kind = type(value)
@@ -260,7 +258,7 @@ def _write(value: Any, indent: str, out: list[str], arrays: dict[int, tuple]) ->
         out.append(_scalar(value))
         return
     if isinstance(value, dict):
-        brackets, items = "{}", ((_key(key), item) for key, item in value.items())
+        brackets, items = "{}", ((encode_basestring_ascii(k) + ": ", v) for k, v in value.items())
     else:
         brackets, items = "[]", (("", item) for item in value)
     out.append(brackets[0])

@@ -306,7 +306,7 @@ class MonitorState:
     change_points: list[ChangePoint]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepStatus:
     """Outcome of advancing a monitor by one observation."""
 
@@ -315,22 +315,19 @@ class StepStatus:
     index_value: float | None = None
     change_point: ChangePoint | None = None
 
-    @staticmethod
-    def _of(
-        state: str, index: int | None, value: float | None, change_point: ChangePoint | None
-    ) -> StepStatus:
-        """StepStatus(state, index, value, change_point), built for the monitor step.
-
-        The frozen __init__ sets each field through object.__setattr__, about 40 % of
-        a step; filling the instance dict gives an equal, equally frozen object.
-        """
-        status = object.__new__(StepStatus)
-        fields = status.__dict__
+    def __init__(
+        self,
+        state: Literal["stable", "candidate", "confirmed"],
+        candidate_index: int | None = None,
+        index_value: float | None = None,
+        change_point: ChangePoint | None = None,
+    ) -> None:
+        # A monitor step builds one: the dict fill takes half the generated frozen __init__'s time
+        fields = self.__dict__
         fields["state"] = state
-        fields["candidate_index"] = index
-        fields["index_value"] = value
+        fields["candidate_index"] = candidate_index
+        fields["index_value"] = index_value
         fields["change_point"] = change_point
-        return status
 
 
 def _stepwise(regimes: Sequence[Regime]) -> np.ndarray:

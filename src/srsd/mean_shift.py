@@ -12,6 +12,7 @@ module holds the threshold calibration and the public entry points.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from . import _engine
@@ -26,7 +27,7 @@ from .core import (
     _check_type,
     as_series,
 )
-from .stats import running_avg_variance, student_t_quantile
+from .stats import _two_tailed, running_avg_variance, student_t_quantile
 
 __all__ = [
     "threshold_delta",
@@ -46,14 +47,7 @@ def threshold_delta(params: DetectionParams, avg_var: float) -> float:
     _check_type(params, DetectionParams, "params")
     if _check_real(avg_var, "avg_var") < 0:
         raise ParameterError(f"avg_var must be finite and non-negative, got {avg_var!r}")
-    prob, df = 1.0 - params.p / 2.0, 2 * params.l - 2
-    # Where 1 - p/2 rounds to 1 (p below about 2.2e-16), t's symmetry gives it from p/2.
-    try:
-        t = student_t_quantile(prob, df) if prob < 1.0 else -student_t_quantile(params.p / 2.0, df)
-    except ParameterError:  # prob and df are valid: the kernel failed at a tail of about 1e-290
-        t = math.nan
-    if not math.isfinite(t):
-        raise ParameterError(f"p={params.p!r} is too small for l={params.l}: t is not finite")
+    t = _two_tailed(student_t_quantile, operator.neg, params, "t", 2 * params.l - 2)
     return t * math.sqrt(2.0 * avg_var / params.l)
 
 

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import fdtr, fdtri, ndtri, stdtr, stdtrit
 
-from .core import DataError, ParameterError, TimeSeries, _check_int, _check_length, _check_real
-from .core import _pair, as_series
+from .core import DataError, DetectionParams, ParameterError, TimeSeries, _check_int, _check_length
+from .core import _check_real, _pair, as_series
 
 __all__ = [
     "student_t_quantile",
@@ -75,6 +75,24 @@ def f_quantile(prob: float, df1: int, df2: int) -> float:
     if not math.isfinite(f):  # as for t
         raise ParameterError(f"F quantile at prob={prob!r} with df1={df1}, df2={df2} is not finite")
     return f
+
+
+def _two_tailed(
+    quantile: Callable, mirror: Callable, params: DetectionParams, name: str, *df: int
+) -> float:
+    """The quantile at 1 - p/2 of a law whose tails mirror maps onto each other (t to -t, F to 1/F).
+
+    Where 1 - p/2 rounds to 1 (p below about 2.2e-16), the quantile at p/2 is
+    mirrored. A result that is not finite (1/F overflows where F is subnormal) names p and l.
+    """
+    prob = 1.0 - params.p / 2.0
+    try:
+        q = quantile(prob, *df) if prob < 1.0 else mirror(quantile(params.p / 2.0, *df))
+    except ParameterError:  # prob and df are valid: the kernel failed at a tail of about 1e-290
+        q = math.nan
+    if not math.isfinite(q):
+        raise ParameterError(f"p={params.p!r} is too small for l={params.l}: {name} is not finite")
+    return q
 
 
 def _window_blocks(values: np.ndarray, l: int) -> Iterator[tuple[int, np.ndarray]]:

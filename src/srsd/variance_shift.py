@@ -23,14 +23,13 @@ from .core import (
     DataError,
     DetectionParams,
     MonitorState,
-    ParameterError,
     StepStatus,
     TimeSeries,
     _check_real,
     _check_type,
     as_series,
 )
-from .stats import f_quantile
+from .stats import _two_tailed, f_quantile
 
 __all__ = [
     "critical_variances",
@@ -48,14 +47,7 @@ def critical_variances(current_variance: float, params: DetectionParams) -> tupl
     """
     current_variance = _check_real(current_variance, "current variance", 0, math.inf, DataError)
     _check_type(params, DetectionParams, "params")
-    prob, df = 1.0 - params.p / 2.0, params.l - 1
-    # Where 1 - p/2 rounds to 1, F(df, df) maps to itself under inversion: take 1 / F at p/2.
-    try:
-        f_crit = f_quantile(prob, df, df) if prob < 1.0 else 1 / f_quantile(params.p / 2.0, df, df)
-    except ParameterError:  # prob and df are valid: the kernel failed at a tail of about 1e-290
-        f_crit = math.nan
-    if not math.isfinite(f_crit):
-        raise ParameterError(f"p={params.p!r} is too small for l={params.l}: F is not finite")
+    f_crit = _two_tailed(f_quantile, lambda f: 1 / f, params, "F", params.l - 1, params.l - 1)
     return current_variance * f_crit, current_variance / f_crit
 
 

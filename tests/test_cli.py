@@ -189,19 +189,23 @@ def test_parse_csv_reads_quoted_cells_and_names_physical_rows(tmp_path):
 
 
 def test_parse_csv_reads_an_r_write_csv_file(tmp_path):
-    """write.csv quotes the header and the row names, a first column with an empty name."""
+    """write.csv (quoted) and pandas (plain) write row names, a first column with an empty name."""
     plain = tmp_path / "plain.csv"
     plain.write_text("year,x,y\n1950,0.25,-1.5\n1951,1e-3,2\n1952,3.5,-0.125\n")
-    quoted = tmp_path / "r.csv"
-    quoted.write_text(
-        '"","year","x","y"\n"1",1950,0.25,-1.5\n"2",1951,1e-3,2\n"3",1952,3.5,-0.125\n'
-    )
-    x, y = parse_csv(str(quoted), ["x", "y"])
     ex, ey = parse_csv(str(plain), ["x", "y"])
-    assert x.values.tobytes() == ex.values.tobytes() and y.values.tobytes() == ey.values.tobytes()
-    assert x.labels.tolist() == [1.0, 2.0, 3.0]  # the row names: the first column
-    (year,) = parse_csv(str(quoted), ["year"])
-    assert year.values.tolist() == [1950.0, 1951.0, 1952.0]
+    named = tmp_path / "named.csv"
+    for text in (
+        '"","year","x","y"\n"1",1950,0.25,-1.5\n"2",1951,1e-3,2\n"3",1952,3.5,-0.125\n',
+        ",year,x,y\n0,1950,0.25,-1.5\n1,1951,1e-3,2\n2,1952,3.5,-0.125\n",
+    ):
+        named.write_text(text)
+        x, y = parse_csv(str(named), ["x", "y"])
+        assert x.values.tobytes() == ex.values.tobytes()
+        assert y.values.tobytes() == ey.values.tobytes()
+        assert x.labels.tolist() == [1950.0, 1951.0, 1952.0]  # the years, not the row names
+        assert y.labels.tobytes() == ex.labels.tobytes()
+        (year,) = parse_csv(str(named), ["year"])
+        assert year.values.tolist() == [1950.0, 1951.0, 1952.0] and year.labels is None
 
 
 def _reference_parse_csv(path, columns):

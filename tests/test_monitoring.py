@@ -1,8 +1,9 @@
 """Streaming monitors: single-point advance equals batch detection."""
 
 import copy
+import inspect
 import pickle
-from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass
+from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,32 @@ def test_step_statuses_are_the_public_dataclass(kind):
             status.index_value = 0.0
         with pytest.raises(FrozenInstanceError):
             del status.state
+        assert StepStatus(
+            state=status.state,
+            candidate_index=status.candidate_index,
+            index_value=status.index_value,
+            change_point=status.change_point,
+        ) == status
+        assert copy.copy(status) == status and copy.deepcopy(status) == status
+        moved = replace(status, index_value=-1.0)
+        assert type(moved) is StepStatus and moved.index_value == -1.0
+        assert (moved.state, moved.candidate_index, moved.change_point) == (
+            status.state, status.candidate_index, status.change_point
+        )
+        match status:
+            case StepStatus("candidate", index, value, None):
+                assert (index, value) == (status.candidate_index, status.index_value)
+            case StepStatus("confirmed", None, None, change_point):
+                assert change_point == status.change_point
+            case StepStatus("stable", None, None, None):
+                pass
+            case _:
+                pytest.fail(f"unmatched status {status!r}")
+    parameters = inspect.signature(StepStatus).parameters
+    assert list(parameters) == ["state", "candidate_index", "index_value", "change_point"]
+    assert parameters["state"].default is inspect.Parameter.empty
+    assert [parameters[name].default for name in list(parameters)[1:]] == [None, None, None]
+    assert StepStatus("stable") == StepStatus(state="stable") == StepStatus("stable", None)
 
 
 def test_a_shift_index_back_at_exactly_zero_fails_the_test():

@@ -236,19 +236,24 @@ def test_type_rules_live_in_core_alone():
 
 
 # The messages of srsd.core's pair rule (_pair) and length rule (_check_length).
-SHAPE_MESSAGES = ("series lengths differ", "is shorter than")
+# Each rule's message and the one module that writes it.
+MESSAGE_OWNERS = {
+    "series lengths differ": "core.py",
+    "is shorter than": "core.py",
+    "is too small for l=": "stats.py",
+}
 
 
 def test_series_shape_rules_live_in_core_alone():
-    """Only srsd.core writes the pair and the length messages; other modules call its checks."""
+    """Only each rule's owner writes its message (the pair, the length, the tiny-p rule)."""
     hits = [
         (path.name, message)
         for path in sorted(Path(srsd.__file__).parent.glob("*.py"))
         for line in path.read_text().splitlines()
-        for message in SHAPE_MESSAGES
+        for message in MESSAGE_OWNERS
         if message in line
     ]
-    assert hits == [("core.py", message) for message in SHAPE_MESSAGES]
+    assert sorted(hits) == sorted((owner, message) for message, owner in MESSAGE_OWNERS.items())
 
 
 def test_srsd_all_is_the_union_of_its_modules_all():
