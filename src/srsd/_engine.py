@@ -32,6 +32,7 @@ entry points.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
@@ -61,7 +62,8 @@ _JUMP_MIN = 400  # series length from which init_state jumps; the loop wins belo
 
 
 def _detrend(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
-    return values - _stepwise(regimes)
+    out = _stepwise(regimes)
+    return np.subtract(values, out, out=out)
 
 
 def _normalize(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
@@ -70,7 +72,8 @@ def _normalize(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
             raise DataError(
                 f"regime [{r.start}, {r.end}] has zero variance; normalization is undefined"
             )
-    return values / np.sqrt(_stepwise(regimes))
+    out = _stepwise(regimes)
+    return np.divide(values, np.sqrt(out, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,12 @@ def init_state(
     """
     _check_length(history, l, "l")
     arr = history.values * history.values if kind.squared else history.values
-    state = MonitorState(kind.name, threshold, index_scale, [], arr[:l].tolist(), None, [])
+    state = MonitorState(kind.name, threshold, index_scale, array("d"), arr[:l].tolist(), None, [])
     if _PLAIN_SUM and len(arr) >= _JUMP_MIN:
         _jump_scan(state, kind.squared, arr)  # before raw is built: its peak leaves raw out
     else:
         _scan(state, kind.squared, arr.tolist(), 1, 1)
-    state.raw = history.values.tolist()
+    state.raw = array("d", history.values.tobytes())
     return state
 
 
@@ -280,6 +283,7 @@ def build_result(kind: Kind, ts: TimeSeries, state: MonitorState) -> ShiftResult
         return kind.span_test(scanned[a - 1 : s - 1], scanned[s - 1 : e])
 
     regimes, cps = _partition(len(ts), cps, regime, test)
+    del scanned  # the squares need not live beside the output
     series = TimeSeries._derived(kind.output(ts.values, regimes), ts.labels, ts.name)
     return ShiftResult(regimes, cps, series)
 
@@ -337,16 +341,15 @@ def finalize(
     """
     if _check_type(state, MonitorState, "state").kind != kind.name:
         raise ParameterError(f"state belongs to a {state.kind!r} detector")
-    ts = as_series(series)
-    if len(ts) != len(state.raw):
-        raise DataError(
-            f"series length {len(ts)} does not match {len(state.raw)} monitored points"
-        )
-    differ = np.flatnonzero(ts.values != np.asarray(state.raw))
+    ts, raw = as_series(series), state.raw
+    if len(ts) != len(raw):
+        raise DataError(f"series length {len(ts)} does not match {len(raw)} monitored points")
+    # The view of raw dies with the comparison: while one lives, raw.append raises BufferError.
+    differ = np.flatnonzero(ts.values != np.frombuffer(raw))
     if differ.size:
         i = int(differ[0])
         raise DataError(
             f"series value {float(ts.values[i])!r} at position {i + 1} differs "
-            f"from the monitored value {state.raw[i]!r}"
+            f"from the monitored value {raw[i]!r}"
         )
     return build_result(kind, ts, state)

@@ -7,6 +7,7 @@ ends, so a series of length n is partitioned as [1, c1-1], [c1, c2-1], ...,
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Any, Callable, Literal, Sequence, get_args
@@ -290,8 +291,9 @@ class MonitorState:
     The state is mutated only by the detector that owns it, through the
     engine's kernels: a batch scan of the whole history, and one scan of each
     new observation in a monitor, whose cursor a failed candidate test
-    rewinds to the point after the candidate. raw holds every point fed, so
-    the newest one's index is len(raw). window holds the scanned values of the
+    rewinds to the point after the candidate. raw holds the value of every
+    point fed, 8 bytes each in an array('d') rather than a float object each,
+    so the newest one's index is len(raw). window holds the scanned values of the
     open regime's newest l members, whose mean is its estimate, so l is
     len(window). Results derive the shift-index trace from change_points and
     pending.
@@ -300,7 +302,7 @@ class MonitorState:
     kind: Literal["mean", "variance"]
     threshold: float
     index_scale: float
-    raw: list[float]
+    raw: array
     window: list[float]
     pending: PendingCandidate | None
     change_points: list[ChangePoint]

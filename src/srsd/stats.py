@@ -107,7 +107,7 @@ def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     """Average sample variance of all running l-point windows of the series.
 
     The mean detector's threshold is built from this pooled noise scale. Beyond
-    the n - l + 1 variances, its memory is one block of windows, whatever n is.
+    the n - l + 1 variances, its memory is one live block of windows, whatever n is.
     """
     ts = as_series(series)
     if _check_int(l, "window length l") < 2:
@@ -116,6 +116,7 @@ def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     variances = np.empty(len(ts) - l + 1)  # np.var(ddof=1), then np.mean, by their own steps
     for row, dev in _window_blocks(ts.values, l):
         variances[row : row + len(dev)] = np.add.reduce(np.square(dev, out=dev), axis=1) / (l - 1)
+        del dev  # else it lives on while the generator builds the next block
     return float(np.add.reduce(variances) / len(variances))
 
 
@@ -237,6 +238,7 @@ def _subsample_lag1(values: np.ndarray, m: int) -> np.ndarray:
         den = np.sum(dev * dev, axis=1)
         keep = den > 0.0
         ratios.append(num[keep] / den[keep])
+        del dev  # as in running_avg_variance
     return np.concatenate(ratios)
 
 

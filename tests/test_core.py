@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -293,16 +294,16 @@ def test_shift_result_construction_allocates_no_trace():
 def test_a_batch_scan_allocates_blocks_not_windows(monkeypatch):
     """A 200 000-point scan at l = 80 holds a few blocks of numpy work, not n * l tests.
 
-    Beyond its inputs, the state's list of raw points and, for variances, the
-    squares, its peak is a fixed bound; an unblocked opener-test matrix would
-    take n * l * 8 bytes, about 128 MB.
+    Beyond its inputs, the state's array of raw points (with the bytes it is
+    built from) and, for variances, the squares, its peak is a fixed bound; an
+    unblocked opener-test matrix would take n * l * 8 bytes, about 128 MB.
     """
     monkeypatch.setattr(_engine, "_PLAIN_SUM", True)  # the batch kernel on any interpreter
     series = TimeSeries(np.random.default_rng(0).standard_normal(200_000))
     params = DetectionParams(l=80)
     tracemalloc.start()
     try:
-        raw = series.values.tolist()
+        raw = array("d", series.values.tobytes())
         raw_peak = tracemalloc.get_traced_memory()[1]
         del raw
         for init, squares in (

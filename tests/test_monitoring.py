@@ -3,6 +3,8 @@
 import copy
 import inspect
 import pickle
+import tracemalloc
+from array import array
 from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from srsd import (
     MonitorState,
     ParameterError,
     StepStatus,
+    TimeSeries,
     detect_mean,
     detect_variance,
     finalize_mean,
@@ -416,7 +419,84 @@ def test_monitor_state_grows_only_by_the_fed_points_and_change_points(kind):
     grown = {
         f.name
         for f in fields(MonitorState)
-        if isinstance(getattr(small, f.name), list)
+        if isinstance(getattr(small, f.name), (list, array))
         and len(getattr(large, f.name)) > len(getattr(small, f.name))
     }
     assert grown == {"raw", "change_points"}
+
+
+def _retained_bytes(build):
+    """Bytes that build() allocates and that its result still holds once it returns."""
+    tracemalloc.start()
+    try:
+        kept = build()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return size
+
+
+@pytest.mark.parametrize("kind", ["mean", "variance"])
+def test_a_monitor_keeps_8_bytes_per_fed_point_whoever_owns_the_float(kind):
+    """Each point parsed from text is a fresh float; the state keeps its value, not the object."""
+    params, n = DetectionParams(p=0.05, l=20), 50_000
+    init, step = MONITORS[kind]
+    values = np.random.default_rng(11).standard_normal(params.l + n)
+    texts = [repr(v) for v in values[params.l :].tolist()]
+    state = init(values[: params.l], params)
+
+    def feed():
+        for text in texts:
+            step(state, float(text), params)
+        return state
+
+    assert _retained_bytes(feed) / n < 12
+    assert len(state.raw) == params.l + n
+
+
+def test_a_batch_initialised_state_keeps_8_bytes_per_point():
+    """init_mean_monitor on a long series keeps the points' values, not a float object each."""
+    series = TimeSeries(np.random.default_rng(12).standard_normal(200_000))
+    assert _retained_bytes(lambda: init_mean_monitor(series, DetectionParams())) / len(series) < 12
+
+
+def test_finalize_holds_each_series_about_once():
+    """finalize_variance holds the input's copy and one more n-point array at a time, not three."""
+    params, n = DetectionParams(p=0.05, l=20), 200_000
+    values = np.random.default_rng(13).standard_normal(n)
+    state = init_variance_monitor(values[: params.l], params)
+    for v in values[params.l :].tolist():
+        monitor_variance(state, v, params)
+    tracemalloc.start()
+    try:
+        result = finalize_variance(values, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == detect_variance(values, params)
+    assert peak < 3 * n * 8
+
+
+@pytest.mark.parametrize("kind", ["mean", "variance"])
+def test_a_monitor_keeps_streaming_after_finalize(kind):
+    """finalize reads raw through a view that dies with the call: raw can still grow afterwards."""
+    params = DetectionParams(p=0.05, l=20)
+    values = np.random.default_rng(14).standard_normal(300)
+    values[150:] = values[150:] * 2.5 + 1.5
+    if kind == "mean":  # calibrated on the whole series, as detect_mean is
+        state = init_mean_monitor(values[:20], params, avg_var=running_avg_variance(values, 20))
+        step, finalize, detect = monitor_mean, finalize_mean, detect_mean
+    else:
+        state = init_variance_monitor(values[:20], params)
+        step, finalize, detect = monitor_variance, finalize_variance, detect_variance
+    for v in values[20:200].tolist():
+        step(state, v, params)
+    finalize(values[:200], state)
+    other = values[:200].copy()
+    other[99] += 1.0
+    with pytest.raises(DataError, match="position 100") as failed:
+        finalize(other, state)
+    for v in values[200:].tolist():  # `failed` keeps the raising call's frames alive meanwhile
+        step(state, v, params)
+    assert finalize(values, state) == detect(values, params)
