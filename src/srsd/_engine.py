@@ -142,7 +142,9 @@ def init_state(
         _jump_scan(state, kind.squared, arr)  # before raw is built: its peak leaves raw out
     else:
         _scan(state, kind.squared, arr.tolist(), 1, 1)
-    state.raw = array("d", history.values.tobytes())
+    # One copy of the C-contiguous values, exported through a view: numpy keeps an exported
+    # array's buffer info (72 bytes) for as long as the array lives.
+    state.raw.frombytes(memoryview(history.values[:]).cast("B"))
     return state
 
 

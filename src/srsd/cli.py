@@ -402,10 +402,13 @@ def _corr_params_from_args(
 ) -> DetectionParams | None:
     if args.p_corr is None and args.l_corr is None:
         return None
-    return DetectionParams(
-        p=args.p_corr if args.p_corr is not None else params.p,
-        l=args.l_corr if args.l_corr is not None else params.l,
-    )
+    try:
+        return DetectionParams(
+            p=args.p_corr if args.p_corr is not None else params.p,
+            l=args.l_corr if args.l_corr is not None else params.l,
+        )
+    except ParameterError as exc:
+        raise ParameterError(f"correlation step (--p-corr/--l-corr): {exc}") from None
 
 
 def _columns(args: argparse.Namespace) -> list[str]:

@@ -75,7 +75,7 @@ def _check_type(value: Any, cls: type, name: str) -> Any:
 
 def _as_float_array(values: Sequence[float], what: str) -> np.ndarray:
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)  # a fresh C-contiguous copy, whatever the input
     except (TypeError, ValueError):
         for i, value in enumerate(np.ravel(np.asarray(values, dtype=object)), 1):
             try:
@@ -88,7 +88,6 @@ def _as_float_array(values: Sequence[float], what: str) -> np.ndarray:
     if arr.size == 0:
         raise DataError(f"{what} contains no observations")
     _check_finite(arr, what)
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

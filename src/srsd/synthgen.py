@@ -146,25 +146,17 @@ def canonical_spec(seed: int = CANONICAL_SEED) -> RegimeSpec:
     )
 
 
-#: Change-point indices planted in the canonical scenario, by detector.
-CANONICAL_EXPECTED: dict[str, tuple[int, ...]] = {
-    "x_mean": (26,),
-    "y_mean": (41,),
-    "x_variance": (51,),
-    "y_variance": (21,),
-    "correlation": (36,),
-}
-
-
 def canonical_fixture() -> tuple[TimeSeries, TimeSeries, dict[str, tuple[int, ...]]]:
     """The frozen canonical realization and its planted change-points.
 
     Reads the CSV shipped with the package (written by the `generate` CLI
     command from `canonical_spec()`) with the CLI's own reader, so results
-    are reproducible even if the RNG stream ever changes.
+    are reproducible even if the RNG stream ever changes. The change-points
+    are the segment starts after the first of each field of `canonical_spec()`.
     """
     from .cli import parse_csv  # cli imports this module, so not at module level
 
     with resources.as_file(resources.files("srsd") / "data/canonical_fixture.csv") as path:
         x, y = parse_csv(str(path), ["x", "y"])
-    return x, y, dict(CANONICAL_EXPECTED)
+    spec = canonical_spec()
+    return x, y, {f: tuple(start for start, _ in getattr(spec, f)[1:]) for f in _SEGMENT_FIELDS}

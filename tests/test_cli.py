@@ -432,6 +432,21 @@ def test_correlation_step_parameters(canonical, fixture_csv, capsys, flags, corr
     assert out == result_to_json(expected)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--l-corr", "2", "l must be at least 3, got 2"),
+        ("--p-corr", "1.5", "p must lie strictly between 0 and 1, got 1.5"),
+    ],
+    ids=["l_corr", "p_corr"],
+)
+def test_a_bad_correlation_step_option_is_named(fixture_csv, capsys, flag, value, message):
+    assert run_cli("detect-correlation", fixture_csv, "--columns", "x,y", flag, value) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"srsd: usage error: correlation step (--p-corr/--l-corr): {message}\n"
+
+
 def test_single_detector_json_shape(fixture_csv, capsys):
     assert run_cli("detect-mean", fixture_csv, "--columns", "x") == 0
     obj = json.loads(capsys.readouterr().out)

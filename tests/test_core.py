@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import tracemalloc
-from array import array
 
 import numpy as np
 import pytest
@@ -277,6 +276,19 @@ def test_shift_result_trace_survives_the_json_round_trip():
         assert_trace_is_literal(res)
 
 
+def test_a_series_from_a_list_is_copied_once():
+    """TimeSeries turns a list of floats into its array in one allocation, not two."""
+    values = np.random.default_rng(1).standard_normal(100_000).tolist()
+    tracemalloc.start()
+    try:
+        series = TimeSeries(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.values.tolist() == values
+    assert peak < 1.2 * 8 * len(values)
+
+
 def test_shift_result_construction_allocates_no_trace():
     n = 10**6
     series = TimeSeries(np.zeros(n))
@@ -294,18 +306,16 @@ def test_shift_result_construction_allocates_no_trace():
 def test_a_batch_scan_allocates_blocks_not_windows(monkeypatch):
     """A 200 000-point scan at l = 80 holds a few blocks of numpy work, not n * l tests.
 
-    Beyond its inputs, the state's array of raw points (with the bytes it is
-    built from) and, for variances, the squares, its peak is a fixed bound; an
+    Beyond its inputs, the state's array of raw points (one copy of the
+    series) and, for variances, the squares, its peak is a fixed bound; an
     unblocked opener-test matrix would take n * l * 8 bytes, about 128 MB.
     """
     monkeypatch.setattr(_engine, "_PLAIN_SUM", True)  # the batch kernel on any interpreter
     series = TimeSeries(np.random.default_rng(0).standard_normal(200_000))
     params = DetectionParams(l=80)
+    raw = series.values.nbytes
     tracemalloc.start()
     try:
-        raw = array("d", series.values.tobytes())
-        raw_peak = tracemalloc.get_traced_memory()[1]
-        del raw
         for init, squares in (
             (lambda: init_mean_monitor(series, params, avg_var=1.0), 0),
             (lambda: init_variance_monitor(series, params), series.values.nbytes),
@@ -314,7 +324,7 @@ def test_a_batch_scan_allocates_blocks_not_windows(monkeypatch):
             state = init()
             peak = tracemalloc.get_traced_memory()[1]
             del state
-            assert peak - raw_peak - squares < 2 * 2**20
+            assert peak - raw - squares < 2 * 2**20
     finally:
         tracemalloc.stop()
 

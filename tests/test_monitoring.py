@@ -29,6 +29,7 @@ from srsd import (
     monitor_variance,
     running_avg_variance,
 )
+from srsd import _engine
 
 
 def stream_mean(values, params, warmup=None):
@@ -459,6 +460,27 @@ def test_a_batch_initialised_state_keeps_8_bytes_per_point():
     """init_mean_monitor on a long series keeps the points' values, not a float object each."""
     series = TimeSeries(np.random.default_rng(12).standard_normal(200_000))
     assert _retained_bytes(lambda: init_mean_monitor(series, DetectionParams())) / len(series) < 12
+
+
+def test_init_state_fills_raw_with_one_copy_of_the_history(monkeypatch):
+    """Beside the scan, seeding a monitor allocates the history's points once, as the raw array,
+    and leaves nothing behind on the history's values."""
+    monkeypatch.setattr(_engine, "_scan", lambda *args: None)
+    monkeypatch.setattr(_engine, "_jump_scan", lambda *args: None)
+    series = TimeSeries(np.random.default_rng(14).standard_normal(100_000))
+    histories = [TimeSeries(np.arange(30.0)) for _ in range(100)]
+    tracemalloc.start()
+    try:
+        state = _engine.init_state(_engine.MEAN, series, 20, 1.0, 1.0)
+        before, peak = tracemalloc.get_traced_memory()
+        for history in histories:
+            _engine.init_state(_engine.MEAN, history, 20, 1.0, 1.0)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state.raw.tobytes() == series.values.tobytes()
+    assert peak < 1.2 * series.values.nbytes
+    assert left < 36 * len(histories)  # an exported array's buffer info takes 72 bytes
 
 
 def test_finalize_holds_each_series_about_once():
