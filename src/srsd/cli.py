@@ -180,7 +180,7 @@ def parse_csv(path: str, columns: Sequence[str]) -> list[TimeSeries]:
 # ---------------------------------------------------------------------------
 # JSON serialization (shortest round-trip floats, fixed key order)
 
-# Field types of each result dataclass, resolved once per class.
+# Field types of each result dataclass, in field order, resolved once per class.
 _field_types = functools.cache(get_type_hints)
 
 
@@ -191,10 +191,11 @@ _SHIFT_KEYS = {
 }
 
 
-def _fields(value: Any) -> dict[str, Any]:
-    """A result dataclass's fields by JSON key, in field order; a ShiftResult's by _SHIFT_KEYS."""
-    keys = _SHIFT_KEYS[value.regimes[0].kind] if isinstance(value, ShiftResult) else {}
-    return {keys.get(n, n): getattr(value, n) for n in keys or [f.name for f in fields(value)]}
+@functools.cache
+def _members(cls: type, kind: str | None) -> tuple[tuple[str, str], ...]:
+    """Attribute and JSON key text of each member of a result class; a ShiftResult's by kind."""
+    keys = _SHIFT_KEYS[kind] if kind else {f.name: f.name for f in fields(cls)}
+    return tuple((name, encode_basestring_ascii(key) + ": ") for name, key in keys.items())
 
 
 def _from_obj(tp: Any, obj: Any) -> Any:
@@ -210,9 +211,7 @@ def _from_obj(tp: Any, obj: Any) -> Any:
         return TimeSeries(obj["values"], labels=obj["labels"], name=obj["name"])
     if is_dataclass(tp):
         keys = _SHIFT_KEYS[obj["regimes"][0]["kind"]] if tp is ShiftResult else {}
-        types = _field_types(tp)
-        names = [f.name for f in fields(tp)]
-        return tp(**{name: _from_obj(types[name], obj[keys.get(name, name)]) for name in names})
+        return tp(**{n: _from_obj(t, obj[keys.get(n, n)]) for n, t in _field_types(tp).items()})
     return obj
 
 
@@ -232,6 +231,10 @@ def _scalar(value: Any) -> str:
     return json.dumps(value, allow_nan=False)  # non-finite floats raise; other types as json does
 
 
+_SCALARS = frozenset([float, int, str, bool, type(None), None])  # None: an instance of no base
+_BASES = (TimeSeries, frozenset, np.ndarray, dict, list, tuple)  # in the order isinstance tries
+
+
 def _write(value: Any, indent: str, out: list[str], arrays: dict[int, tuple]) -> None:
     """Append value's JSON to out in json.dumps's indent=2 layout; indent opens its line.
 
@@ -241,26 +244,30 @@ def _write(value: Any, indent: str, out: list[str], arrays: dict[int, tuple]) ->
     their labels) is encoded once; holding the array keeps its id from being
     reused by another (a trace is a new array on each read).
     """
-    if isinstance(value, TimeSeries):
-        value = {"name": value.name, "values": value.values, "labels": value.labels}
-    elif isinstance(value, frozenset):
-        value = sorted(value)
-    elif is_dataclass(value):
-        value = _fields(value)
+    kind = type(value)
+    if kind not in _SCALARS and kind not in _BASES and not is_dataclass(kind):  # by isinstance
+        kind = next((base for base in _BASES if isinstance(value, base)), None)
+    if kind is TimeSeries:
+        value, kind = {"name": value.name, "values": value.values, "labels": value.labels}, dict
+    elif kind is frozenset:
+        value, kind = sorted(value), list
     inner = indent + "  "
-    if isinstance(value, np.ndarray):  # one C-encoder call; no float repr holds ", "
+    if kind is np.ndarray:  # one C-encoder call; no float repr holds ", "
         if id(value) not in arrays:
             arrays[id(value)] = value, json.dumps(value.tolist(), allow_nan=False)[1:-1]
         flat = arrays[id(value)][1].replace(", ", ",\n" + inner)
         out += ("[\n", inner, flat, "\n", indent, "]")
         return
-    if not (isinstance(value, (dict, list, tuple)) and value):  # a scalar, {} or []
+    if kind in _SCALARS or not value:  # a scalar, {} or []
         out.append(_scalar(value))
         return
-    if isinstance(value, dict):
+    if kind is dict:
         brackets, items = "{}", ((encode_basestring_ascii(k) + ": ", v) for k, v in value.items())
-    else:
+    elif kind is list or kind is tuple:
         brackets, items = "[]", (("", item) for item in value)
+    else:  # a result dataclass
+        members = _members(kind, value.regimes[0].kind if issubclass(kind, ShiftResult) else None)
+        brackets, items = "{}", ((key, getattr(value, name)) for name, key in members)
     out.append(brackets[0])
     for key, item in items:
         out += ("\n", inner, key)
@@ -314,7 +321,8 @@ def _single_to_json(
     ar1: Ar1Estimate | None,
     result: ShiftResult,
 ) -> str:
-    return _dumps(command, {"params": params, "series": series, "ar1": ar1, **_fields(result)})
+    shift = {k: getattr(result, n) for n, k in _SHIFT_KEYS[result.regimes[0].kind].items()}
+    return _dumps(command, {"params": params, "series": series, "ar1": ar1, **shift})
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's, built on its first call, not at import
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.run(args)
     except ParameterError as exc:

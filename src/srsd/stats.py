@@ -235,7 +235,7 @@ def _subsample_lag1(values: np.ndarray, m: int) -> np.ndarray:
     ratios = []
     for _, dev in _window_blocks(values, m):
         num = np.sum(dev[:, :-1] * dev[:, 1:], axis=1)
-        den = np.sum(dev * dev, axis=1)
+        den = np.add.reduce(np.square(dev, out=dev), axis=1)  # dev is this block's own
         keep = den > 0.0
         ratios.append(num[keep] / den[keep])
         del dev  # as in running_avg_variance

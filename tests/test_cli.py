@@ -1,11 +1,13 @@
 """Command-line interface: CSV ingestion, exit codes, output formats."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import random
 import re
+from collections import OrderedDict
 from importlib import resources
 
 import numpy as np
@@ -327,6 +329,62 @@ def test_version_flag(capsys):
 
 
 # ---------------------------------------------------------------------------
+# One parser per process
+
+
+def test_main_builds_one_parser_per_process(fixture_csv, capsys, monkeypatch):
+    assert run_cli("detect-correlation", fixture_csv, "--columns", "x,y") == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("detect-mean", fixture_csv, "--columns", "x") == 0
+    assert run_cli("detect-correlation", fixture_csv, "--columns", "x,y") == 0
+    capsys.readouterr()
+    assert built == []
+    cli.build_parser()  # a fresh parser for other callers, counted by the same wrapper
+    assert len(built) == 6  # the top level and its five subcommands
+
+
+def test_a_run_leaves_no_option_for_the_next(tmp_path, fixture_csv):
+    corr = ("detect-correlation", fixture_csv, "--columns", "x,y")
+    assert run_cli(*corr, "--p-corr", "0.01", "--l-corr", "10", "--output", tmp_path / "a") == 0
+    assert run_cli(*corr, "--output", tmp_path / "b") == 0
+    assert sha256_of(tmp_path / "b") == GOLDEN_DIGESTS[("detect-correlation", "x,y", "json", ())]
+
+
+def test_a_usage_error_leaves_the_parser_usable(fixture_csv, capsys):
+    argv = ["detect-mean", str(fixture_csv), "--columns", "x", "--format", "xml"]
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert fresh.value.code == 1 and expected.err.startswith("usage: srsd detect-mean")
+    for _ in range(2):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == expected
+    assert run_cli("detect-mean", fixture_csv, "--columns", "x") == 0
+
+
+@pytest.mark.parametrize(
+    "command", [None, "detect-mean", "detect-variance", "detect-correlation", "generate", "diagnose"]
+)
+def test_help_through_main_is_the_fresh_parsers_help(command, capsys):
+    parser = cli.build_parser()
+    if command:
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = commands.choices[command]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            main([*filter(None, [command]), "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == parser.format_help()
+
+
+# ---------------------------------------------------------------------------
 # JSON output
 
 
@@ -468,6 +526,10 @@ def test_prewhitening_is_echoed(fixture_csv, capsys):
     assert abs(obj["ar1"][0]["alpha"]) < 0.3
 
 
+class FloatList(list):
+    """A list subclass, as a caller's container type might be."""
+
+
 def _reference_dumps(command, body):
     """The indent-2 layout as the standard library's encoder writes it."""
     doc = {"schema_version": "1", "tool": "srsd", "version": srsd.__version__, "command": command}
@@ -484,6 +546,10 @@ WRITER_BODIES = [
     {"scalars": [None, True, False, 0, -7, 2**70, -0.0, 5e-324, 1.7976931348623157e308]},
     {"none": None, "flag": True, "n": 3, "x": -0.0, "tiny": 5e-324, "big": 1.7976931348623157e308},
     {"mixed": [1.0, None, 2.0], "bools": [True, 1.0], "tuple": (1.0, 2.0), "deep": [[0.5, 1.5], [2.5]]},
+    # Subclasses of the plain containers keep their base's layout, as isinstance takes them.
+    {"ordered": OrderedDict([("b", 1.5), ("a", [0.5, None]), ("empty", OrderedDict())])},
+    {"float_list": FloatList([0.25, -1e-300, 3.0]), "empty": FloatList()},
+    {"tuple_of_dicts": ({"start": 1, "mean": 0.5}, {}, {"values": (1.0, 2.0)})},
 ]
 
 
