@@ -103,11 +103,14 @@ def _window_blocks(values: np.ndarray, l: int) -> Iterator[tuple[int, np.ndarray
         yield start, block - np.add.reduce(block, axis=1, keepdims=True) / l
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an average that overflows is named below
 def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     """Average sample variance of all running l-point windows of the series.
 
     The mean detector's threshold is built from this pooled noise scale. Beyond
     the n - l + 1 variances, its memory is one live block of windows, whatever n is.
+    An average that overflows raises DataError, naming the first window whose
+    variance overflowed if one did.
     """
     ts = as_series(series)
     if _check_int(l, "window length l") < 2:
@@ -117,7 +120,14 @@ def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     for row, dev in _window_blocks(ts.values, l):
         variances[row : row + len(dev)] = np.add.reduce(np.square(dev, out=dev), axis=1) / (l - 1)
         del dev  # else it lives on while the generator builds the next block
-    return float(np.add.reduce(variances) / len(variances))
+    avg = float(np.add.reduce(variances) / len(variances))
+    if not math.isfinite(avg):
+        over = np.flatnonzero(~np.isfinite(variances))
+        if over.size:
+            i = int(over[0]) + 1
+            raise DataError(f"the variance of the window at points {i} to {i + l - 1} overflows")
+        raise DataError(f"the average of the {len(variances)} window variances overflows")
+    return avg
 
 
 def pearson_r(x: TimeSeries | Sequence[float], y: TimeSeries | Sequence[float]) -> float:

@@ -7,18 +7,20 @@ import pytest
 import scipy
 
 import srsd
+from srsd import _engine
 
 
 def pytest_report_header(config):
-    """Name Python, its float sum, numpy and scipy: the corpora and JSON digests pin their bits.
+    """Name Python, the scan's window sum, numpy and scipy: the corpora and JSON digests pin bits.
 
-    CPython 3.12 made the builtin sum of floats compensated, which moves the
-    last bits of some results that the frozen corpora and digests hold; they
-    also hold the bits of numpy reductions and scipy.special kernels.
+    The scan adds each window left to right on every interpreter: with the
+    builtin sum where it does so (before Python 3.12), else with a reduce. The
+    corpora and digests also hold the bits of numpy reductions and
+    scipy.special kernels.
     """
-    compensated = sum([0.1] * 10) == 1.0
+    rule = "builtin sum" if _engine._window_sum is sum else "reduce(operator.add)"
     return (
-        f"python {platform.python_version()}, builtin float sum compensated: {compensated}, "
+        f"python {platform.python_version()}, window sum: {rule}, "
         f"numpy {np.__version__}, scipy {scipy.__version__}"
     )
 

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import warnings
 from collections import OrderedDict
 from importlib import resources
 
@@ -315,6 +316,18 @@ def test_exit_codes(tmp_path, fixture_csv, capsys):
     assert run_cli("detect-mean", bad, "--columns", "a") == 2
     err = capsys.readouterr().err
     assert "data error" in err
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_a_calibration_variance_that_overflows_exits_as_a_data_error(tmp_path, capsys, scale):
+    t = np.linspace(0.0, 1.0, 200)
+    path = tmp_path / "big.csv"
+    path.write_text("v\n" + "".join(f"{v!r}\n" for v in ((np.sin(6.0 * t) + (t > 0.5)) * scale).tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("detect-mean", path, "--columns", "v", "--l", "10") == 2
+    message = "the variance of the window at points 1 to 10 overflows"
+    assert capsys.readouterr().err == f"srsd: data error: {message}\n"
 
 
 def test_correlation_requires_exactly_two_columns(fixture_csv, capsys):

@@ -27,7 +27,6 @@ from srsd import (
     run_srsd,
     running_avg_variance,
 )
-from srsd import _engine
 from srsd._engine import ShiftResult
 from srsd.core import _partition
 from srsd.cli import result_from_json, result_to_json
@@ -303,14 +302,13 @@ def test_shift_result_construction_allocates_no_trace():
     assert res.trace[-1] == 1.0
 
 
-def test_a_batch_scan_allocates_blocks_not_windows(monkeypatch):
+def test_a_batch_scan_allocates_blocks_not_windows():
     """A 200 000-point scan at l = 80 holds a few blocks of numpy work, not n * l tests.
 
     Beyond its inputs, the state's array of raw points (one copy of the
     series) and, for variances, the squares, its peak is a fixed bound; an
     unblocked opener-test matrix would take n * l * 8 bytes, about 128 MB.
     """
-    monkeypatch.setattr(_engine, "_PLAIN_SUM", True)  # the batch kernel on any interpreter
     series = TimeSeries(np.random.default_rng(0).standard_normal(200_000))
     params = DetectionParams(l=80)
     raw = series.values.nbytes

@@ -98,6 +98,16 @@ def test_constant_regimes_leave_the_span_test_undefined():
     assert [r.shift_p_value for r in res.regimes] == [None, None]
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_a_calibration_variance_that_overflows_is_a_data_error(scale):
+    """The smooth step sin(6t) + (t > 0.5), scaled up: an error that names the window, no warning."""
+    t = np.linspace(0.0, 1.0, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"^the variance of the window at points 1 to 10 overflows$"):
+            detect_mean((np.sin(6.0 * t) + (t > 0.5)) * scale, DetectionParams(l=10))
+
+
 def test_short_series_rejected():
     with pytest.raises(DataError):
         detect_mean([1.0] * 10, DetectionParams(p=0.05, l=20))

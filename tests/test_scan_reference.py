@@ -12,20 +12,33 @@ The two are compared bit for bit (`float.hex`) on every engine-corpus series,
 for both kinds, in batch and as the corpus's monitors: initialised on the
 first k points and fed the rest one at a time. On short series with exact
 ties and on drawn ones, every `StepStatus` of the monitor is compared too,
-against the reference run on the points fed so far. `_window_mean` uses
-`sum`, as the kernel does, so both follow the same summation on any Python
-version.
+against the reference run on the points fed so far. `_window_mean` adds
+its window left to right from int 0 itself, as both kernels do on every
+interpreter.
 
 Batch scans of long series take a second kernel, `_engine._jump_scan`; every
 comparison runs once with each kernel forced, whatever the series length, and
 the two kernels are compared with each other on both frozen corpora and on
-series past the cut-over. The jump kernel's sums are those of `sum` before
-Python 3.12, so its runs are skipped where `sum` compensates.
+series past the cut-over. Every batch scan and monitor stream of the corpora
+is also recorded and replayed, by `scan_replay.py`, with the real `_scan` and
+`monitor` on each other installed CPython: the bits must not depend on the
+interpreter.
 """
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
+import pickle
+import shutil
+import subprocess
+import sys
 from contextlib import contextmanager
+from functools import reduce
+from glob import glob
+from operator import add
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,22 +47,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_corpus
+import scan_replay
 import srsd
-from srsd import DataError, DetectionParams, TimeSeries, _engine
+from srsd import DataError, DetectionParams, ParameterError, TimeSeries, _engine
 
 
 @contextmanager
 def kernel(name: str):
     """Make init_state scan with the loop kernel, or with the jump kernel whatever the length."""
-    if name == "jump" and not _engine._PLAIN_SUM:
-        pytest.skip("the jump kernel adds as the builtin sum did before Python 3.12")
     with mock.patch.object(_engine, "_JUMP_MIN", 0 if name == "jump" else math.inf):
         yield
 
 
 def _window_mean(members: list[float], l: int) -> float:
-    """The open regime's estimate: the mean of its newest l members."""
-    return sum(members[-l:]) / l
+    """The open regime's estimate: the mean of its newest l members, added left to right."""
+    return reduce(add, members[-l:], 0) / l
 
 
 def _bounds(est: float, threshold: float, multiplicative: bool) -> tuple[float, float]:
@@ -327,17 +339,16 @@ def test_both_kernels_agree_on_both_corpora(monkeypatch):
     assert len(scans) > 8000 and pending > 5000 and sum(isinstance(o, str) for o in scans) > 50
 
 
-@pytest.mark.parametrize("plain", [True, False], ids=["plain_sum", "compensated_sum"])
-def test_init_state_jumps_only_from_the_cut_over_and_where_sum_adds_plainly(monkeypatch, plain):
-    assert _engine._PLAIN_SUM == (sum([0.1] * 10) != 1.0)  # the probe agrees with another one
+def test_init_state_jumps_only_from_the_cut_over(monkeypatch):
+    # The builtin sum is the window sum exactly where it adds left to right (before Python 3.12).
+    assert (_engine._window_sum is sum) == (sum([1e16, 1.0, -1e16]) == 0.0)
     taken = []
-    monkeypatch.setattr(_engine, "_PLAIN_SUM", plain)
     monkeypatch.setattr(_engine, "_jump_scan", lambda *args: taken.append("jump"))
     monkeypatch.setattr(_engine, "_scan", lambda *args: taken.append("loop"))
     for n in (_engine._JUMP_MIN - 1, _engine._JUMP_MIN, 5 * _engine._JUMP_MIN):
         for kind in (_engine.MEAN, _engine.VARIANCE):
             _engine.init_state(kind, TimeSeries(np.ones(n)), 20, 1.0, 1.0)
-    assert taken == ["loop"] * 2 + ["jump" if plain else "loop"] * 4
+    assert taken == ["loop"] * 2 + ["jump"] * 4
 
 
 def _long_series(n: int, seed: int, l: int = 20) -> np.ndarray:
@@ -396,3 +407,145 @@ def test_a_monitor_continues_a_jump_scanned_history_as_a_looped_one(kind):
             runs.append((statuses, _engine_outcome(state), state.raw))
         assert runs[0] == runs[1], f"from {k}"
     assert resumed > 0
+
+
+def _recorded_chunks(corpus_cases):
+    """Every batch scan of both corpora and every engine-corpus monitor stream, on the loop kernel.
+
+    A scan is recorded as the state and arguments `_scan` starts from and what it
+    leaves; a stream as its initial state, the values fed and each step's status.
+    They come in chunks of a few hundred series, each dict of "scans" and
+    "streams" yielded as soon as it is recorded, so that replays can start.
+    """
+    scans, streams, scan, step = [], [], _engine._scan, _engine.monitor
+    current, stepping = None, False
+
+    def recorded_scan(state, multiplicative, buf, base, i):
+        if stepping:
+            return scan(state, multiplicative, buf, base, i)
+        before = scan_replay.state_record(state)
+        try:
+            confirmed = scan(state, multiplicative, buf, base, i)
+        except DataError as exc:
+            scans.append((before, multiplicative, buf, base, i, scan_replay.error(exc)))
+            raise
+        scans.append((before, multiplicative, buf, base, i, scan_replay.outcome(state, confirmed)))
+        return confirmed
+
+    def recorded_init(init, kind):
+        def init_monitor(history, params, **calibration):
+            nonlocal current
+            current = init(history, params, **calibration)
+            record = scan_replay.state_record(current)
+            streams.append((kind.name, kind.squared, params.l, record, [], []))
+            return current
+
+        return init_monitor
+
+    def recorded_step(kind, state, new_value, params):
+        nonlocal stepping
+        assert state is current
+        values, expected = streams[-1][4:]
+        values.append(new_value)
+        stepping = True
+        try:
+            status = step(kind, state, new_value, params)[1]
+        except (DataError, ParameterError) as exc:
+            expected.append(scan_replay.error(exc))
+            raise
+        finally:
+            stepping = False
+        expected.append(scan_replay.status(status))
+        return state, status
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(kernel("loop"))
+        stack.enter_context(mock.patch.object(_engine, "_scan", recorded_scan))
+        stack.enter_context(mock.patch.object(_engine, "monitor", recorded_step))
+        for kind in (_engine.MEAN, _engine.VARIANCE):
+            name = f"init_{kind.name}_monitor"
+            init = recorded_init(getattr(srsd, name), kind)
+            stack.enter_context(mock.patch.object(srsd, name, init))
+        for n, (meta, values) in enumerate(corpus_cases, 1):
+            engine_corpus.run_case(meta, values)
+            if n % 200 == 0 or n == len(corpus_cases):
+                yield {"scans": scans, "streams": streams}
+                scans, streams = [], []
+        for n, (meta, x, y) in enumerate(engine_corpus.all_pairs(), 1):
+            for mode in engine_corpus.PIPELINE_MODES:  # run_pair_case's scans, without its JSON
+                with contextlib.suppress(DataError):
+                    getattr(srsd, mode)(x, y, DetectionParams(p=meta["p"], l=meta["l"]))
+            if n % 50 == 0:
+                yield {"scans": scans, "streams": streams}
+                scans, streams = [], []
+
+
+def _other_interpreters() -> list[tuple[str, str]]:
+    """(binary, version) of each pyenv CPython from 3.10 on that starts, other than this one.
+
+    The binaries are run directly: the version shims on PATH may fail.
+    """
+    root = os.environ.get("PYENV_ROOT")
+    if not root and shutil.which("pyenv"):
+        root = subprocess.run(["pyenv", "root"], capture_output=True, text=True).stdout.strip()
+    if not root:
+        return []
+    probes = []
+    for binary in sorted(glob(os.path.join(root, "versions", "*", "bin", "python"))):
+        try:
+            probes.append((binary, subprocess.Popen(
+                [binary, "-I", "-c", "import sys; print(*sys.version_info[:3])"],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            )))
+        except OSError:
+            continue
+    found = []
+    for binary, probe in probes:
+        out = probe.communicate()[0].split()
+        if probe.returncode == 0 and len(out) == 3:
+            version = tuple(map(int, out))
+            if version >= (3, 10) and version != sys.version_info[:3]:
+                found.append((binary, ".".join(out)))
+    return found
+
+
+def test_every_installed_cpython_replays_the_corpora_with_the_same_bits(corpus_cases):
+    """The real `_scan` and `monitor`, pulled out of the source, replayed on each other CPython.
+
+    Every batch scan of both corpora and every step of every engine-corpus
+    monitor stream must give the bits recorded here, errors the same message.
+    """
+    interpreters = _other_interpreters()
+    print("other interpreters:", ", ".join(f"{v} ({b})" for b, v in interpreters) or "none")
+    if not interpreters:
+        pytest.skip("no other CPython from 3.10 on starts")
+    replay, source = str(Path(scan_replay.__file__).resolve()), str(Path(_engine.__file__).parent)
+    pipes = dict.fromkeys(("stdin", "stdout", "stderr"), subprocess.PIPE)
+    runs = [
+        (version, subprocess.Popen([binary, "-I", replay, source], **pipes))
+        for binary, version in interpreters
+    ]
+    try:
+        recorded = np.zeros(3, int)
+        for chunk in _recorded_chunks(corpus_cases):
+            steps = sum(len(stream[5]) for stream in chunk["streams"])
+            recorded += len(chunk["scans"]), len(chunk["streams"]), steps
+            data = pickle.dumps(chunk, protocol=4)
+            for _, run in runs:
+                with contextlib.suppress(BrokenPipeError):  # a replay that stopped reports below
+                    run.stdin.write(data)
+                    run.stdin.flush()
+        assert recorded.tolist() == [8077, 962, 29218]
+        for version, run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, f"{version}: {err.decode()}"
+            report = json.loads(out)
+            print(report)
+            assert report["python"] == version
+            assert (report["scans"], report["streams"], report["steps"]) == (8077, 962, 29218)
+            assert report["scans_differing"] == report["streams_differing"] == 0, report
+    finally:
+        for _, run in runs:
+            if run.poll() is None:
+                run.kill()
+                run.communicate()

@@ -188,6 +188,14 @@ def test_running_avg_variance_needs_full_window():
         running_avg_variance([1.0, 2.0], 3)
 
 
+def test_running_avg_variance_names_an_overflow():
+    with pytest.raises(DataError, match=r"^the variance of the window at points 2 to 6 overflows$"):
+        running_avg_variance([0.0] * 5 + [1e300, -1e300], 5)
+    # Every window's variance is finite; their sum is not.
+    with pytest.raises(DataError, match=r"^the average of the 191 window variances overflows$"):
+        running_avg_variance(np.tile([4e153, -4e153], 100), 10)
+
+
 def test_running_avg_variance_needs_two_point_windows():
     with pytest.raises(ParameterError, match="at least 2, got 1"):
         running_avg_variance([1.0, 2.0, 3.0], 1)
