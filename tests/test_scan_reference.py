@@ -26,6 +26,7 @@ interpreter.
 """
 from __future__ import annotations
 
+import ast
 import contextlib
 import json
 import math
@@ -339,10 +340,31 @@ def test_both_kernels_agree_on_both_corpora(monkeypatch):
     assert len(scans) > 8000 and pending > 5000 and sum(isinstance(o, str) for o in scans) > 50
 
 
-def test_init_state_jumps_only_from_the_cut_over(monkeypatch):
-    # The builtin sum is the window sum exactly where it adds left to right (before Python 3.12).
+def _bound_window_sum(builtin_sum):
+    """`_engine`'s `_window_sum` as its import binds it where `sum` is `builtin_sum`."""
+    tree = ast.parse(Path(_engine.__file__).read_text())
+    (binding,) = (
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_window_sum"]
+    )
+    scope = {"sum": builtin_sum, "reduce": reduce, "add": add}
+    exec(compile(ast.Module([binding], []), _engine.__file__, "exec"), scope)
+    return scope["_window_sum"]
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain_sum", "compensated_sum"])
+def test_init_state_jumps_only_from_the_cut_over_and_where_sum_adds_plainly(monkeypatch, plain):
+    """Whether the interpreter's sum adds left to right (before 3.12) or compensates (from 3.12),
+    the window sum adds left to right, and init_state picks its kernel by length alone."""
+    # The builtin sum is the window sum exactly where it adds left to right.
     assert (_engine._window_sum is sum) == (sum([1e16, 1.0, -1e16]) == 0.0)
+    builtin_sum = (lambda win: reduce(add, win, 0)) if plain else math.fsum
+    window_sum = _bound_window_sum(builtin_sum)
+    assert (window_sum is builtin_sum) == plain
+    win = np.random.default_rng(3).standard_normal(80).tolist() + [1e16, 1.0, -1e16]
+    assert window_sum(win).hex() == reduce(add, win, 0).hex() != math.fsum(win).hex()
     taken = []
+    monkeypatch.setattr(_engine, "_window_sum", window_sum)
     monkeypatch.setattr(_engine, "_jump_scan", lambda *args: taken.append("jump"))
     monkeypatch.setattr(_engine, "_scan", lambda *args: taken.append("loop"))
     for n in (_engine._JUMP_MIN - 1, _engine._JUMP_MIN, 5 * _engine._JUMP_MIN):
