@@ -63,6 +63,22 @@ _window_sum = sum if sum([1e16, 1.0, -1e16]) == 0.0 else lambda win: reduce(add,
 _JUMP_MIN = 400  # series length from which init_state jumps; the loop wins below about 300 points
 
 
+def _square_overflow(x: float, position: int) -> DataError:
+    """The error for a finite observation x at position (1-based) whose square overflows."""
+    why = f"overflows when squared; |x| must lie below {2.0**512:.3g}"
+    return DataError(f"observation {x!r} at position {position} {why}")
+
+
+@np.errstate(over="raise")  # as a decorator it costs about half of what a with statement does
+def _squares(values: np.ndarray) -> np.ndarray:
+    """values * values, or the error that names the first value whose square overflows."""
+    try:
+        return values * values
+    except FloatingPointError:
+        i = int(np.flatnonzero(np.abs(values) >= 2.0**512)[0])  # x * x is finite below 2**512
+        raise _square_overflow(float(values[i]), i + 1) from None
+
+
 def _detrend(values: np.ndarray, regimes: list[Regime]) -> np.ndarray:
     out = _stepwise(regimes)
     return np.subtract(values, out, out=out)
@@ -138,7 +154,7 @@ def init_state(
     change-point.
     """
     _check_length(history, l, "l")
-    arr = history.values * history.values if kind.squared else history.values
+    arr = _squares(history.values) if kind.squared else history.values
     state = MonitorState(kind.name, threshold, index_scale, array("d"), arr[:l].tolist(), None, [])
     if len(arr) >= _JUMP_MIN:
         _jump_scan(state, kind.squared, arr)  # before raw is built: its peak leaves raw out
@@ -314,11 +330,10 @@ def monitor(
         position = len(raw) + 1
         raise DataError(f"observation {new_value!r} at position {position} is not a number") from None
     value = raw_value * raw_value if kind.squared else raw_value
-    if not math.isfinite(value):  # the scanned value: a finite x squares to inf from |x| = 2**512
-        why = "is not finite"
+    if not math.isfinite(value):  # the scanned value
         if math.isfinite(raw_value):
-            why = f"overflows when squared; |x| must lie below {2.0**512:.3g}"
-        raise DataError(f"observation {raw_value!r} at position {len(raw) + 1} {why}")
+            raise _square_overflow(raw_value, len(raw) + 1)
+        raise DataError(f"observation {raw_value!r} at position {len(raw) + 1} is not finite")
     if params_l != len(window):
         raise ParameterError(f"params.l={params_l} does not match monitor l={len(window)}")
     if pend is None:

@@ -35,6 +35,7 @@ import io
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from types import UnionType
@@ -52,6 +53,7 @@ from .core import (
     ParameterError,
     Regime,
     TimeSeries,
+    _check_int,
     _labels,
 )
 from .mean_shift import detect_mean
@@ -472,16 +474,12 @@ def _spec_from_file(path: str, seed: int) -> RegimeSpec:
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
-    seed = args.seed
-    env_seed = os.environ.get("SRSD_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ParameterError(f"SRSD_SEED must be an integer, got {env_seed!r}") from None
-    if seed < 0:
-        source = "--seed" if env_seed is None else "SRSD_SEED"
-        raise ParameterError(f"{source} must not be negative, got {seed}")
+    seed, source = os.environ.get("SRSD_SEED"), "SRSD_SEED"  # which overrides --seed
+    if seed is None:
+        seed, source = args.seed, "--seed"
+    with suppress(ValueError):  # text that int() rejects is named as it is
+        seed = int(seed)
+    _check_int(seed, source, 0)
     spec = _spec_from_file(args.spec, seed) if args.spec else canonical_spec(seed)
     x, y = generate_pair(spec)
     rows = zip(range(1, len(x) + 1), x.values.tolist(), y.values.tolist())
@@ -495,9 +493,7 @@ def _running_correlation(x: np.ndarray, y: np.ndarray, window: int) -> list[floa
 
 def _cmd_diagnose(args: argparse.Namespace) -> None:
     result = _run_pair(args)
-    n = len(result.x)
-    if not 2 <= args.window <= n:
-        raise ParameterError(f"--window must lie in [2, {n}], got {args.window}")
+    _check_int(args.window, "--window", 2, len(result.x))
     raw = _running_correlation(result.x.values, result.y.values, args.window)
     adj_x, adj_y = (res.normalized.values for res in result.variance_results)
     adjusted = _running_correlation(adj_x, adj_y, args.window)

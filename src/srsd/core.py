@@ -45,14 +45,15 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise DataError(f"{what} contains a non-finite value at position {bad}")
 
 
-def _is_int(value: object) -> bool:
+def _check_int(
+    value: object, name: str, lo: float = -math.inf, hi: float = math.inf, error=ParameterError
+) -> int:
+    """value as an int: a Python or numpy integer, not a bool, with lo <= value <= hi."""
     # An int is an integer; isinstance on the ABC is ~20x slower, as in _check_real.
-    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _check_int(value: object, name: str, error: type[ValueError] = ParameterError) -> int:
-    if not _is_int(value):
-        raise error(f"{name} must be an integer, got {value!r}")
+    integer = type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+    if not (integer and lo <= value <= hi):
+        bounds = f" in [{lo}, {hi}]" if hi < math.inf else f" >= {lo}" if lo > -math.inf else ""
+        raise error(f"{name} must be an integer{bounds}, got {value!r}")
     return int(value)
 
 
@@ -211,16 +212,13 @@ class DetectionParams:
     def __post_init__(self):
         # Plain Python numbers, so that numpy scalars serialize and print like literals.
         object.__setattr__(self, "p", _check_real(self.p, "p", 0, 1))
-        object.__setattr__(self, "l", _check_int(self.l, "l"))
-        if self.l < 3:
-            raise ParameterError(f"l must be at least 3, got {self.l}")
+        object.__setattr__(self, "l", _check_int(self.l, "l", 3))
         if self.prewhiten not in _PREWHITEN_METHODS:
             methods = ", ".join(map(repr, _PREWHITEN_METHODS))
             raise ParameterError(f"prewhiten must be one of {methods}, got {self.prewhiten!r}")
         if self.m is not None:
-            object.__setattr__(self, "m", _check_int(self.m, "m"))
-            if not (5 <= self.m < self.l):
-                raise ParameterError(f"m must satisfy 5 <= m < l (l={self.l}), got {self.m}")
+            m = _check_int(self.m, f"m (with l={self.l})", 5, self.l - 1)  # a cross-field rule
+            object.__setattr__(self, "m", m)
         elif self.prewhiten != "none":
             raise ParameterError("m must be set when prewhiten is enabled")
 

@@ -54,8 +54,7 @@ _BLOCK = 2**16  # elements per block of sliding windows
 def student_t_quantile(prob: float, df: int) -> float:
     """Inverse CDF of Student's t distribution with df degrees of freedom."""
     _check_real(prob, "prob", 0, 1)
-    if _check_int(df, "df") < 1:
-        raise ParameterError(f"df must be a positive integer, got {df!r}")
+    _check_int(df, "df", 1)
     t = float(stdtrit(df, prob))
     # The quantile of a prob in (0, 1) is finite, but scipy's kernels fail at tails of about
     # 1e-290 with few degrees of freedom (t is inf at df = 6, F nan at df = 6 to 9).
@@ -67,10 +66,8 @@ def student_t_quantile(prob: float, df: int) -> float:
 def f_quantile(prob: float, df1: int, df2: int) -> float:
     """Inverse CDF of the F distribution with (df1, df2) degrees of freedom."""
     _check_real(prob, "prob", 0, 1)
-    if _check_int(df1, "df1") < 1:
-        raise ParameterError(f"df1 must be positive, got {df1!r}")
-    if _check_int(df2, "df2") < 1:
-        raise ParameterError(f"df2 must be positive, got {df2!r}")
+    _check_int(df1, "df1", 1)
+    _check_int(df2, "df2", 1)
     f = float(fdtri(df1, df2, prob))
     if not math.isfinite(f):  # as for t
         raise ParameterError(f"F quantile at prob={prob!r} with df1={df1}, df2={df2} is not finite")
@@ -113,8 +110,7 @@ def running_avg_variance(series: TimeSeries | Sequence[float], l: int) -> float:
     variance overflowed if one did.
     """
     ts = as_series(series)
-    if _check_int(l, "window length l") < 2:
-        raise ParameterError(f"window length l must be at least 2, got {l}")
+    _check_int(l, "window length l", 2)
     _check_length(ts, l, "l")
     variances = np.empty(len(ts) - l + 1)  # np.var(ddof=1), then np.mean, by their own steps
     for row, dev in _window_blocks(ts.values, l):
@@ -154,8 +150,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
 
 
 def _check_fisher_args(r: float, n: int, what: str) -> None:
-    if _check_int(n, f"{what}: n", DataError) < 4:
-        raise DataError(f"{what}: Fisher transform requires n >= 4, got n={n}")
+    _check_int(n, f"{what}: n", 4, error=DataError)
     _check_real(r, f"{what}: r", -1, 1, DataError)
 
 
@@ -279,8 +274,7 @@ def estimate_ar1(
     correct = methods.get(method) if isinstance(method, str) else None  # a list does not hash
     if correct is None:
         raise ParameterError(f"method must be {' or '.join(map(repr, methods))}, got {method!r}")
-    if _check_int(m, "m") < 5:
-        raise ParameterError(f"subsample size m must be at least 5, got {m}")
+    _check_int(m, "m", 5)
     ts = _check_length(as_series(series), m, "m")
     raw = _subsample_lag1(ts.values, m)
     if raw.size == 0:

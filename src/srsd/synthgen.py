@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, TimeSeries, _check_int, _check_real, _check_type, _is_int
+from .core import DataError, TimeSeries, _check_int, _check_real, _check_type
 
 __all__ = [
     "RegimeSpec",
@@ -39,11 +39,6 @@ _SEGMENT_FIELDS = ("correlation", "x_mean", "y_mean", "x_variance", "y_variance"
 CANONICAL_SEED = 4580
 
 
-def _check_seed(seed: int, name: str) -> None:
-    if not _is_int(seed) or seed < 0:
-        raise DataError(f"{name} must be an integer >= 0, got {seed!r}")
-
-
 def _normalize_segments(segments: Sequence[tuple[int, float]], what: str) -> Segments:
     if not isinstance(segments, (tuple, list)):
         raise DataError(f"{what}: segments must be a sequence of (start, value) pairs")
@@ -52,7 +47,7 @@ def _normalize_segments(segments: Sequence[tuple[int, float]], what: str) -> Seg
         if not isinstance(item, (tuple, list)) or len(item) != 2:
             raise DataError(f"{what}: segment {item!r} is not a (start, value) pair")
         start, value = item
-        start = _check_int(start, f"{what}: segment start", DataError)
+        start = _check_int(start, f"{what}: segment start", error=DataError)
         segs.append((start, _check_real(value, f"{what} at {start}", error=DataError)))
     if not segs:
         raise DataError(f"{what}: at least one segment is required")
@@ -81,9 +76,8 @@ class RegimeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if _check_int(self.n, "n", DataError) < 1:
-            raise DataError(f"n must be positive, got {self.n}")
-        _check_seed(self.seed, "seed")
+        _check_int(self.n, "n", 1, error=DataError)
+        _check_int(self.seed, "seed", 0, error=DataError)
         for field_name in _SEGMENT_FIELDS:
             segs = _normalize_segments(getattr(self, field_name), field_name)
             object.__setattr__(self, field_name, segs)
@@ -121,9 +115,8 @@ def generate_pair(spec: RegimeSpec) -> tuple[TimeSeries, TimeSeries]:
 
 def derive_seeds(base_seed: int, count: int) -> list[int]:
     """Independent per-run seeds for ensembles, split from one base seed."""
-    if _check_int(count, "count", DataError) < 1:
-        raise DataError(f"count must be positive, got {count}")
-    _check_seed(base_seed, "base_seed")
+    _check_int(count, "count", 1, error=DataError)
+    _check_int(base_seed, "base_seed", 0, error=DataError)
     state = np.random.SeedSequence(base_seed).generate_state(count, np.uint64)
     return [int(s) for s in state]
 

@@ -35,7 +35,9 @@ PULLED = {
         "dataclass", "DataError", "ParameterError", "ChangePoint", "PendingCandidate",
         "StepStatus", "_check_type",
     ),
-    "_engine.py": ("math", "reduce", "add", "_window_sum", "_STABLE", "_scan", "monitor"),
+    "_engine.py": (
+        "math", "reduce", "add", "_window_sum", "_STABLE", "_square_overflow", "_scan", "monitor",
+    ),
 }
 # Read only where monitor rejects a state or params of the wrong type, which no replay passes.
 NOT_PULLED = {"MonitorState", "DetectionParams"}

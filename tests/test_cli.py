@@ -330,6 +330,19 @@ def test_a_calibration_variance_that_overflows_exits_as_a_data_error(tmp_path, c
     assert capsys.readouterr().err == f"srsd: data error: {message}\n"
 
 
+@pytest.mark.parametrize("scale, position", [(1e155, 6), (1e200, 2)])
+def test_a_value_whose_square_overflows_exits_as_a_data_error(tmp_path, capsys, scale, position):
+    t = np.linspace(0.0, 1.0, 200)
+    values = ((np.sin(6.0 * t) + (t > 0.5)) * scale).tolist()
+    path = tmp_path / "big.csv"
+    path.write_text("v\n" + "".join(f"{v!r}\n" for v in values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("detect-variance", path, "--columns", "v", "--l", "10") == 2
+    message = f"observation {values[position - 1]!r} at position {position} overflows when squared"
+    assert capsys.readouterr().err == f"srsd: data error: {message}; |x| must lie below 1.34e+154\n"
+
+
 def test_correlation_requires_exactly_two_columns(fixture_csv, capsys):
     assert run_cli("detect-correlation", fixture_csv, "--columns", "x") == 1
     assert run_cli("detect-correlation", fixture_csv, "--columns", "index,x,y") == 1
@@ -506,7 +519,7 @@ def test_correlation_step_parameters(canonical, fixture_csv, capsys, flags, corr
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--l-corr", "2", "l must be at least 3, got 2"),
+        ("--l-corr", "2", "l must be an integer >= 3, got 2"),
         ("--p-corr", "1.5", "p must lie strictly between 0 and 1, got 1.5"),
     ],
     ids=["l_corr", "p_corr"],
@@ -795,14 +808,15 @@ def test_generate_non_integer_env_seed_is_a_usage_error(tmp_path, monkeypatch, c
     out = tmp_path / "gen.csv"
     assert run_cli("generate", "--output", out) == 1
     err = capsys.readouterr().err
-    assert err == "srsd: usage error: SRSD_SEED must be an integer, got '4580.0'\n"
+    assert err == "srsd: usage error: SRSD_SEED must be an integer >= 0, got '4580.0'\n"
     assert not out.exists()
     monkeypatch.setenv("SRSD_SEED", "-3")
     assert run_cli("generate", "--output", out) == 1
-    assert capsys.readouterr().err == "srsd: usage error: SRSD_SEED must not be negative, got -3\n"
+    err = capsys.readouterr().err
+    assert err == "srsd: usage error: SRSD_SEED must be an integer >= 0, got -3\n"
     monkeypatch.delenv("SRSD_SEED")
     assert run_cli("generate", "--seed", "-1", "--output", out) == 1
-    assert capsys.readouterr().err == "srsd: usage error: --seed must not be negative, got -1\n"
+    assert capsys.readouterr().err == "srsd: usage error: --seed must be an integer >= 0, got -1\n"
     assert not out.exists()
 
 
@@ -880,7 +894,7 @@ def test_diagnose_window_outside_the_series_is_a_usage_error(fixture_csv, capsys
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"srsd: usage error: --window must lie in [2, 70], got {window}\n"
+    assert err == f"srsd: usage error: --window must be an integer in [2, 70], got {window}\n"
 
 
 def test_diagnose_leaves_constant_windows_empty(tmp_path, canonical, capsys):

@@ -1,8 +1,14 @@
 """Core value types, parameter validation, and partition invariants."""
 
 import dataclasses
+import io
 import math
+import os
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
+from typing import Callable, Literal, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,21 +21,28 @@ from srsd import (
     DetectionParams,
     ParameterError,
     Regime,
+    RegimeSpec,
     TimeSeries,
+    derive_seeds,
     detect_mean,
     detect_variance,
+    estimate_ar1,
+    f_quantile,
     finalize_mean,
     finalize_variance,
+    fisher_ci,
+    fisher_compare,
     init_mean_monitor,
     init_variance_monitor,
     monitor_mean,
     monitor_variance,
     run_srsd,
     running_avg_variance,
+    student_t_quantile,
 )
 from srsd._engine import ShiftResult
-from srsd.core import _partition
-from srsd.cli import result_from_json, result_to_json
+from srsd.core import _check_int, _partition
+from srsd.cli import main, result_from_json, result_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +164,7 @@ def test_numpy_scalar_params_are_stored_as_python_numbers(kwargs):
 
 
 def test_replace_checks_the_new_params():
-    with pytest.raises(ParameterError, match="l must be at least 3"):
+    with pytest.raises(ParameterError, match="^l must be an integer >= 3, got 2$"):
         dataclasses.replace(DetectionParams(), l=2)
 
 
@@ -162,6 +175,158 @@ def test_m_without_prewhitening_is_allowed():
 def test_prewhitening_m_bounds():
     DetectionParams(prewhiten="mpk", m=5)
     DetectionParams(prewhiten="ip4", m=19)
+
+
+# ---------------------------------------------------------------------------
+# Integer arguments: every bounded one is checked by core._check_int alone
+
+
+FIXTURE = resources.files("srsd") / "data/canonical_fixture.csv"  # 70 points
+
+
+def _srsd(*argv, env_seed=None) -> None:
+    """Run the CLI; a usage or data error that it reports is raised as that error, with its text."""
+    err = io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        os.environ.pop("SRSD_SEED", None)
+        if env_seed is not None:
+            os.environ["SRSD_SEED"] = str(env_seed)
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    if code:
+        *_, message = err.getvalue().splitlines()
+        raise (ParameterError, DataError)[code - 1](message.split("error: ", 1)[1])
+
+
+class IntArg(NamedTuple):
+    """A bounded integer argument: call(v) runs its public site with the argument set to v.
+
+    v arrives as it is, or as command-line text: a flag that argparse converts with int(),
+    or SRSD_SEED, whose text reaches the rule as it is where int() rejects it.
+    """
+
+    call: Callable[[object], object]
+    lo: int
+    hi: float
+    rule: str
+    error: type[ValueError] = ParameterError
+    arrives: Literal["as is", "flag", "env"] = "as is"
+
+
+SERIES = np.sin(np.arange(30.0))
+INF = math.inf
+INTEGER_ARGUMENTS = {
+    "DetectionParams.l": IntArg(
+        lambda v: DetectionParams(l=v), 3, INF, "l must be an integer >= 3"
+    ),
+    "DetectionParams.m": IntArg(
+        lambda v: DetectionParams(l=20, m=v), 5, 19, "m (with l=20) must be an integer in [5, 19]"
+    ),
+    "student_t_quantile.df": IntArg(
+        lambda v: student_t_quantile(0.9, v), 1, INF, "df must be an integer >= 1"
+    ),
+    "f_quantile.df1": IntArg(
+        lambda v: f_quantile(0.9, v, 3), 1, INF, "df1 must be an integer >= 1"
+    ),
+    "f_quantile.df2": IntArg(
+        lambda v: f_quantile(0.9, 3, v), 1, INF, "df2 must be an integer >= 1"
+    ),
+    "running_avg_variance.l": IntArg(
+        lambda v: running_avg_variance(SERIES, v), 2, INF, "window length l must be an integer >= 2"
+    ),
+    "estimate_ar1.m": IntArg(
+        lambda v: estimate_ar1(SERIES, v, "ip4"), 5, INF, "m must be an integer >= 5"
+    ),
+    "fisher_compare.n1": IntArg(
+        lambda v: fisher_compare(0.1, v, 0.2, 12),
+        4,
+        INF,
+        "first sample: n must be an integer >= 4",
+        DataError,
+    ),
+    "fisher_compare.n2": IntArg(
+        lambda v: fisher_compare(0.1, 12, 0.2, v),
+        4,
+        INF,
+        "second sample: n must be an integer >= 4",
+        DataError,
+    ),
+    "fisher_ci.n": IntArg(
+        lambda v: fisher_ci(0.1, v), 4, INF, "sample: n must be an integer >= 4", DataError
+    ),
+    "RegimeSpec.n": IntArg(
+        lambda v: RegimeSpec(v, ((1, 0.0),)), 1, INF, "n must be an integer >= 1", DataError
+    ),
+    "RegimeSpec.seed": IntArg(
+        lambda v: RegimeSpec(5, ((1, 0.0),), seed=v),
+        0,
+        INF,
+        "seed must be an integer >= 0",
+        DataError,
+    ),
+    "derive_seeds.count": IntArg(
+        lambda v: derive_seeds(0, v), 1, INF, "count must be an integer >= 1", DataError
+    ),
+    "derive_seeds.base_seed": IntArg(
+        lambda v: derive_seeds(v, 1), 0, INF, "base_seed must be an integer >= 0", DataError
+    ),
+    "generate --seed": IntArg(
+        lambda v: _srsd("generate", "--seed", v),
+        0,
+        INF,
+        "--seed must be an integer >= 0",
+        arrives="flag",
+    ),
+    "generate SRSD_SEED": IntArg(
+        lambda v: _srsd("generate", env_seed=v),
+        0,
+        INF,
+        "SRSD_SEED must be an integer >= 0",
+        arrives="env",
+    ),
+    "diagnose --window": IntArg(
+        lambda v: _srsd("diagnose", FIXTURE, "--columns", "x,y", "--window", v),
+        2,
+        70,
+        "--window must be an integer in [2, 70]",
+        arrives="flag",
+    ),
+}
+
+
+def _outside(arg: IntArg) -> list[object]:
+    """The values just outside the range, then True and the float lo."""
+    return [arg.lo - 1, *([] if arg.hi == INF else [arg.hi + 1]), True, float(arg.lo)]
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [(site, v) for site, arg in INTEGER_ARGUMENTS.items() for v in _outside(arg)],
+)
+def test_every_bounded_integer_argument_states_one_rule(site, value):
+    arg = INTEGER_ARGUMENTS[site]
+    integer = type(value) is int  # a bool is not one
+    if arg.arrives == "flag" and not integer:  # argparse's int() refuses the text first
+        flag = site.split()[1]
+        error, message = ParameterError, f"argument {flag}: invalid int value: '{value}'"
+    else:
+        got = value if integer or arg.arrives == "as is" else str(value)
+        error, message = arg.error, f"{arg.rule}, got {got!r}"
+    with pytest.raises(error) as info:
+        arg.call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("site", INTEGER_ARGUMENTS)
+def test_a_numpy_integer_at_each_bound_is_accepted_as_an_int(site):
+    arg = INTEGER_ARGUMENTS[site]
+    for bound in {arg.lo, arg.hi} - {INF}:
+        arg.call(np.int64(bound))
+        value = _check_int(np.int64(bound), site, arg.lo, arg.hi)
+        assert type(value) is int and value == bound
 
 
 # ---------------------------------------------------------------------------

@@ -235,17 +235,18 @@ def test_type_rules_live_in_core_alone():
     assert hits == []
 
 
-# The messages of srsd.core's pair rule (_pair) and length rule (_check_length).
 # Each rule's message and the one module that writes it.
 MESSAGE_OWNERS = {
     "series lengths differ": "core.py",
     "is shorter than": "core.py",
     "is too small for l=": "stats.py",
+    "must be an integer": "core.py",
+    "overflows when squared": "_engine.py",
 }
 
 
 def test_series_shape_rules_live_in_core_alone():
-    """Only each rule's owner writes its message (the pair, the length, the tiny-p rule)."""
+    """Only each rule's owner writes its message (pair, length, tiny p, integer, square)."""
     hits = [
         (path.name, message)
         for path in sorted(Path(srsd.__file__).parent.glob("*.py"))

@@ -134,7 +134,7 @@ def test_f_quantile_reciprocal_identity(prob, df1, df2):
 def test_f_quantile_rejects_bad_inputs():
     with pytest.raises(ParameterError):
         f_quantile(0.5, 0, 3)
-    with pytest.raises(ParameterError, match="^df2 must be positive, got 0$"):
+    with pytest.raises(ParameterError, match="^df2 must be an integer >= 1, got 0$"):
         f_quantile(0.9, 3, 0)
     with pytest.raises(ParameterError):
         f_quantile(1.0, 3, 3)
@@ -142,7 +142,7 @@ def test_f_quantile_rejects_bad_inputs():
         f_quantile(0.975, float("nan"), 5)
     with pytest.raises(ParameterError, match="df2"):
         f_quantile(0.975, 5, float("nan"))
-    with pytest.raises(ParameterError, match="^df2 must be an integer, got 2.5$"):
+    with pytest.raises(ParameterError, match=r"^df2 must be an integer >= 1, got 2\.5$"):
         f_quantile(0.9, 3, 2.5)
 
 
@@ -197,10 +197,11 @@ def test_running_avg_variance_names_an_overflow():
 
 
 def test_running_avg_variance_needs_two_point_windows():
-    with pytest.raises(ParameterError, match="at least 2, got 1"):
+    with pytest.raises(ParameterError, match="^window length l must be an integer >= 2, got 1$"):
         running_avg_variance([1.0, 2.0, 3.0], 1)
     for l in (20.0, True):
-        with pytest.raises(ParameterError, match=rf"^window length l must be an integer, got {l!r}$"):
+        message = rf"^window length l must be an integer >= 2, got {l!r}$"
+        with pytest.raises(ParameterError, match=message):
             running_avg_variance(np.arange(30.0), l)
 
 
@@ -398,7 +399,7 @@ def test_fisher_compare_rejects_degenerate():
         fisher_compare(1.0, 30, 0.2, 30)
     with pytest.raises(DataError):
         fisher_compare(0.5, 3, 0.2, 30)
-    with pytest.raises(DataError, match="^first sample: n must be an integer, got 10.5$"):
+    with pytest.raises(DataError, match=r"^first sample: n must be an integer >= 4, got 10\.5$"):
         fisher_compare(0.1, 10.5, 0.2, 12)
     message = "^first sample: r must lie strictly between -1 and 1, got '0.1'$"
     with pytest.raises(DataError, match=message):
@@ -477,7 +478,7 @@ def test_fisher_ci_rejects_degenerate():
         fisher_ci(0.5, 3, 0.9)
     with pytest.raises(ParameterError, match="^confidence must lie strictly between 0 and 1"):
         fisher_ci(0.3, 20, 1.0)
-    with pytest.raises(DataError, match="^sample: n must be an integer, got True$"):
+    with pytest.raises(DataError, match="^sample: n must be an integer >= 4, got True$"):
         fisher_ci(0.1, True)
     message = "^sample: r must lie strictly between -1 and 1, got True$"
     with pytest.raises(DataError, match=message):

@@ -62,10 +62,10 @@ def test_derive_seeds_is_deterministic_and_distinct():
 
 
 def test_derive_seeds_needs_a_positive_count():
-    with pytest.raises(DataError, match="count must be positive, got 0"):
+    with pytest.raises(DataError, match="^count must be an integer >= 1, got 0$"):
         derive_seeds(0, 0)
     for count in (2.0, True):
-        with pytest.raises(DataError, match=rf"^count must be an integer, got {count!r}$"):
+        with pytest.raises(DataError, match=rf"^count must be an integer >= 1, got {count!r}$"):
             derive_seeds(1, count)
 
 

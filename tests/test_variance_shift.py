@@ -1,5 +1,7 @@
 """Sequential variance-shift detector on centered residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,40 @@ def test_zero_residuals_rejected():
     with pytest.raises(DataError) as stream:
         finalize_variance(zeros, state)
     message = "regime [1, 30] has zero variance; normalization is undefined"
+    assert str(batch.value) == str(stream.value) == message
+
+
+SQUARE_BOUND = "overflows when squared; |x| must lie below 1.34e+154"
+
+
+@pytest.mark.parametrize("scale, position", [(1e155, 6), (1e200, 2)])
+@pytest.mark.parametrize("call", [detect_variance, init_variance_monitor])
+def test_a_value_whose_square_overflows_is_named(call, scale, position):
+    """The smooth step sin(6t) + (t > 0.5), scaled up: the first overflowing square, no warning."""
+    t = np.linspace(0.0, 1.0, 200)
+    x = ((np.sin(6.0 * t) + (t > 0.5)) * scale).tolist()
+    assert max(map(abs, x[: position - 1])) < 2.0**512 <= abs(x[position - 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as info:
+            call(x, DetectionParams(l=10))
+    at = f"{x[position - 1]!r} at position {position}"
+    assert str(info.value) == f"observation {at} {SQUARE_BOUND}"
+
+
+@pytest.mark.parametrize("n", [300, 600])  # the loop kernel's length and the jump kernel's
+def test_batch_and_stream_name_the_same_overflowing_square(n):
+    x = np.random.default_rng(0).standard_normal(n).tolist()
+    x[150] = 1e155
+    params = DetectionParams()
+    with pytest.raises(DataError) as batch:
+        detect_variance(x, params)
+    state = init_variance_monitor(x[:20], params)
+    for value in x[20:150]:
+        monitor_variance(state, value, params)
+    with pytest.raises(DataError) as stream:
+        monitor_variance(state, x[150], params)
+    message = f"observation 1e+155 at position 151 {SQUARE_BOUND}"
     assert str(batch.value) == str(stream.value) == message
 
 
